@@ -15,7 +15,6 @@ from .core import (
     ExactRational,
     LogScaled,
     SeriesEval,
-    euler_gamma,
     zeta,
     zeta_hat,
 )
@@ -38,7 +37,6 @@ from .gammafns import (
     gamma_minimum,
     gamma_y,
     log_e_partial,
-    log_gamma,
     pochhammer_continuous,
     regularized_q,
 )

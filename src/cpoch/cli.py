@@ -9,7 +9,6 @@ bytes.  Reals print with 17 significant digits; exact rationals print as
 from __future__ import annotations
 
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -119,10 +118,10 @@ def eval_command(target, x, y, z, alpha, beta, tol, log_scaled, fmt):
         raise click.UsageError(f"{target} requires --{', --'.join(missing)}")
     try:
         result = _evaluate(target, provided, tol)
-    except ConvergenceError as exc:
+    except (ConvergenceError, OverflowError) as exc:
         click.echo(f"numerical failure in {target}: {exc}", err=True)
         sys.exit(3)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
 
     converged = True

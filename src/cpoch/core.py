@@ -26,7 +26,6 @@ __all__ = [
     "SeriesEval",
     "ConvergenceError",
     "EULER_GAMMA",
-    "euler_gamma",
     "zeta",
     "zeta_hat",
 ]
@@ -127,11 +126,6 @@ def _as_log_scaled(x: "LogScaled | float | int") -> LogScaled:
     if isinstance(x, LogScaled):
         return x
     return LogScaled.from_float(float(x))
-
-
-def euler_gamma() -> float:
-    """Euler-Mascheroni constant gamma = lim (sum 1/k - ln n)."""
-    return EULER_GAMMA
 
 
 @lru_cache(maxsize=None)

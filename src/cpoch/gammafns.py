@@ -20,7 +20,6 @@ from .core import LOG_FLOAT_MAX, LogScaled, SeriesEval
 
 __all__ = [
     "gamma",
-    "log_gamma",
     "gamma_minimum",
     "regularized_q",
     "log_e_partial",
@@ -47,13 +46,6 @@ def gamma(z: float) -> float | LogScaled:
     if z < GAMMA_OVERFLOW_Z:
         return math.gamma(z)
     return LogScaled(1, math.lgamma(z))
-
-
-def log_gamma(z: float) -> float:
-    """ln Gamma(z) for z > 0."""
-    if z <= 0:
-        raise ValueError(f"log_gamma requires z > 0, got {z}")
-    return math.lgamma(z)
 
 
 @lru_cache(maxsize=1)

@@ -66,18 +66,15 @@ class CoeffTable:
 
 
 @lru_cache(maxsize=None)
-def c_table(n_max: int = DEFAULT_TERMS, tol: float = 1e-15) -> CoeffTable:
+def c_table(n_max: int = DEFAULT_TERMS) -> CoeffTable:
     """Coefficients c_0 .. c_{n_max} of 1/Gamma(t+1) by the zeta recursion.
 
     The zeta-hat values and the recursion run at an order-dependent working
     precision so that every returned binary64 coefficient is correctly
-    rounded; ``tol`` records the requested accuracy, which that provisioning
-    dominates by a wide margin.  Deterministic and cached per order.
+    rounded.  Deterministic and cached per order.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     with mp.workdps(30 + n_max):
         zh = [mp.mpf(0), +mp.euler] + [mp.zeta(k) for k in range(2, n_max + 2)]
         coeffs = [mp.mpf(1)]

@@ -32,10 +32,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import LOG_FLOAT_MAX, ConvergenceError, LogScaled, SeriesEval
-from .quadrature import QuadratureError, QuadratureRequest, integrate_adaptive
+from .quadrature import QuadratureError, QuadratureRequest, _legendre_rule, integrate_adaptive
 from .recip_gamma import CoeffTable, c_table, weighted_series_coeffs
 
 __all__ = [
@@ -65,14 +63,6 @@ def e_integrand(x: float, t: float) -> float:
     )
 
 
-def _segment_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = np.polynomial.legendre.leggauss(_SEGMENT_RULE_NODES)
-    return tuple(map(float, nodes)), tuple(map(float, weights))
-
-
-_SEGMENT_NODES, _SEGMENT_WEIGHTS = None, None
-
-
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
     value = 0.0
     for c in reversed(coeffs):
@@ -89,7 +79,6 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     [0, 1].  Agrees with E_quadrature to ~1e-13 relative over the tested
     domain (x <= 50, z <= 30).
     """
-    global _SEGMENT_NODES, _SEGMENT_WEIGHTS
     if x <= 0:
         raise ValueError(f"E_series requires x > 0, got {x}")
     if z < 0:
@@ -112,14 +101,13 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     trunc = abs(coeffs[-1]) * head ** len(coeffs) * 2.0
     floor = _EPS * peak * 8.0
     if z > DIRECT_SERIES_LIMIT:
-        if _SEGMENT_NODES is None:
-            _SEGMENT_NODES, _SEGMENT_WEIGHTS = _segment_rule()
+        nodes, weights = _legendre_rule(_SEGMENT_RULE_NODES)
         t0 = 3
         while t0 < z:
             length = min(1.0, z - t0)
             half = 0.5 * length
             segment = 0.0
-            for node, weight in zip(_SEGMENT_NODES, _SEGMENT_WEIGHTS):
+            for node, weight in zip(nodes, weights):
                 u = half * (node + 1.0)
                 denom = 1.0
                 for j in range(1, t0 + 1):
@@ -173,19 +161,8 @@ def nu(x: float, tol: float = 1e-10) -> float:
         raise ConvergenceError(f"nu({x}) quadrature failed: {exc}") from exc
 
 
-def mu_function(x: float, beta: float = 0.0, alpha: float = 0.0, tol: float = 1e-10) -> float:
-    """mu(x, beta, alpha): the classical three-parameter transcendent.
-
-    Quadrature over [0, Z] with Z chosen so that the Stirling-type bound
-    x^alpha (e x / t)^t t^beta / Gamma(beta+1) certifies a tail below
-    tol/2; mu(x, 0, 0) = nu(x).
-    """
-    if x <= 0:
-        raise ValueError(f"mu_function requires x > 0, got {x}")
-    if beta < 0 or alpha < 0:
-        raise ValueError("beta and alpha must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def _mu_integrand(x: float, beta: float, alpha: float, tol: float):
+    """mu's integrand and a cutoff Z whose tail integral past Z is below tol/2."""
     log_gamma_beta = math.lgamma(beta + 1.0)
     cutoff = max(30.0, math.e**2 * x, 2.0 * beta + 10.0)
     # integrand <= x^alpha t^beta e^-t / Gamma(beta+1) past e^2 x; for
@@ -211,6 +188,23 @@ def mu_function(x: float, beta: float = 0.0, alpha: float = 0.0, tol: float = 1e
             - log_gamma_beta
         )
 
+    return integrand, cutoff
+
+
+def mu_function(x: float, beta: float = 0.0, alpha: float = 0.0, tol: float = 1e-10) -> float:
+    """mu(x, beta, alpha): the classical three-parameter transcendent.
+
+    Quadrature over [0, Z] with Z chosen so that the Stirling-type bound
+    x^alpha (e x / t)^t t^beta / Gamma(beta+1) certifies a tail below
+    tol/2; mu(x, 0, 0) = nu(x).
+    """
+    if x <= 0:
+        raise ValueError(f"mu_function requires x > 0, got {x}")
+    if beta < 0 or alpha < 0:
+        raise ValueError("beta and alpha must be >= 0")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    integrand, cutoff = _mu_integrand(x, beta, alpha, tol)
     try:
         value, _ = integrate_adaptive(
             QuadratureRequest(integrand, 0.0, cutoff, tolerance=tol / 2.0)
@@ -225,15 +219,14 @@ def rho(
     y: float,
     z: float,
     tol: float = 1e-10,
-    method: str = "series",
     log_scaled: bool = False,
 ) -> float | LogScaled:
     """rho(x, y, z) = x^z E(y (z-1)^2 / 2x, z - 1).
 
     Defined for z > 1; the boundary value rho(x, y, 1) = 0 is accepted by
-    continuity.  ``method`` selects the E evaluation: "series" (the
-    coefficient machinery, smooth in the parameters) or "quadrature" (the
-    independent oracle).
+    continuity.  E is evaluated by ``E_series``, the coefficient machinery,
+    which is smooth in the parameters; ``E_quadrature`` is its independent
+    oracle.
     """
     if x <= 0:
         raise ValueError(f"rho requires x > 0, got {x}")
@@ -244,18 +237,13 @@ def rho(
     if z == 1.0:
         return LogScaled(0, float("-inf")) if log_scaled else 0.0
     w = y * (z - 1.0) ** 2 / (2.0 * x)
-    if method == "quadrature":
-        e_value = E_quadrature(w, z - 1.0, tol)
-    elif method == "series":
-        result = E_series(w, z - 1.0, tol)
-        if not result.converged:
-            raise ConvergenceError(
-                f"E series did not certify tol={tol} at (x={w}, z={z - 1.0}); "
-                f"tail estimate {result.tail_estimate:.3g}"
-            )
-        e_value = result.value
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    result = E_series(w, z - 1.0, tol)
+    if not result.converged:
+        raise ConvergenceError(
+            f"E series did not certify tol={tol} at (x={w}, z={z - 1.0}); "
+            f"tail estimate {result.tail_estimate:.3g}"
+        )
+    e_value = result.value
     log_value = z * math.log(x) + math.log(e_value)
     if log_scaled or log_value > LOG_FLOAT_MAX - 1.0:
         return LogScaled(1, log_value)

@@ -1,0 +1,63 @@
+"""Shared fixture: the verify suites, run once per session, looked up by case id.
+
+Every property check is defined once, in ``cpoch.verify``; a test that
+asserts such a property names the case as ``suite/case_id`` instead of
+restating its inputs, formula and threshold.
+"""
+
+import time
+
+import pytest
+
+from cpoch.verify import CaseResult, run_suite
+
+
+class SuiteCases:
+    """Runs each verify suite on first use and keeps its report and wall time."""
+
+    def __init__(self):
+        self._reports = {}
+        self._seconds = {}
+
+    def _report(self, suite: str):
+        if suite not in self._reports:
+            start = time.perf_counter()
+            self._reports[suite] = run_suite(suite)
+            self._seconds[suite] = time.perf_counter() - start
+        return self._reports[suite]
+
+    def seconds(self, suite: str) -> float:
+        """Wall time of the suite's one run."""
+        self._report(suite)
+        return self._seconds[suite]
+
+    def cases(self, *refs: str, **inputs) -> list[CaseResult]:
+        """The cases named ``suite/case_id``, narrowed to those with the given inputs."""
+        found = []
+        for ref in refs:
+            suite, case_id = ref.split("/")
+            matches = [
+                c for c in self._report(suite).cases
+                if c.case_id == case_id and all(c.inputs.get(k) == v for k, v in inputs.items())
+            ]
+            assert matches, f"verify has no case {ref} with inputs {inputs}"
+            found.extend(matches)
+        return found
+
+    def check(self, *refs: str, **inputs) -> None:
+        """Assert that every named case passes; the message carries actual and residual."""
+        failed = [self.describe(c) for c in self.cases(*refs, **inputs) if not c.passed]
+        assert not failed, "; ".join(failed)
+
+    @staticmethod
+    def describe(case: CaseResult) -> str:
+        inputs = ", ".join(f"{k}={v}" for k, v in case.inputs.items())
+        return (
+            f"{case.suite}/{case.case_id} ({inputs}): expected {case.expected}, "
+            f"actual {case.actual}, residual {case.residual:.3g}"
+        )
+
+
+@pytest.fixture(scope="session")
+def verify_cases() -> SuiteCases:
+    return SuiteCases()

@@ -1,58 +1,30 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criterion 12 is split by bound family.  The linear and the rho
-envelopes are published on the inequality Gamma(t+1) >= e^(gamma t), which
-is false on 0 < t < 2.9097, the root of ln Gamma(t+1) = gamma t
-(counterexample Gamma(1.5) = 0.886 < e^(gamma/2) = 1.335, hence
-E(e^gamma, 1) = 1.4668 > 1).  Their tests check the published orientation
-as refuted against an independent oracle, E by 30-digit ``mpmath.quad``:
-the program's E and rho match the oracle at every point, the program's
-verdict on each published bound is the oracle's, and every point whose
-range of integration lies below the crossover is refuted.  The
-sign-corrected bounds, from Gamma(t+1) >= e^(-gamma t), must hold at the
-same points.
+lines.  Criterion 1 times the CLI.  Every other criterion is a set of
+``cpoch.verify`` cases, named here by ``suite/case_id`` and run once per
+session by the ``verify_cases`` fixture; their inputs, formulas and
+thresholds are defined in ``cpoch.verify`` only.  The time bounds of
+criteria 2 and 3 apply to the whole discrete suite, which contains their
+checks.
+
+Criterion 12 is split by bound family.  The linear and the rho envelopes
+are published on the inequality Gamma(t+1) >= e^(gamma t), which is false
+on 0 < t < 2.9097, the root of ln Gamma(t+1) = gamma t (counterexample
+Gamma(1.5) = 0.886 < e^(gamma/2) = 1.335, hence E(e^gamma, 1) = 1.4668 > 1).
+Their ``*_as_stated`` cases check the published orientation as refuted
+against an independent oracle, E by 30-digit ``mpmath.quad``: the program's
+E and rho match the oracle at every point, the program's verdict on each
+published bound is the oracle's, and every point whose range of integration
+lies below the crossover is refuted.  The sign-corrected bounds, from
+Gamma(t+1) >= e^(-gamma t), must hold at the same points.
 """
 
-import math
 import time
-from fractions import Fraction
 
-import mpmath as mp
 from click.testing import CliRunner
 
 from cpoch.cli import main as cli_main
-from cpoch.core import EULER_GAMMA
-from cpoch.discrete import (
-    pochhammer_discrete,
-    power_sum_pair,
-    simplex_moment,
-    stirling_lattice_oracle,
-    stirling_triangle,
-)
-from cpoch.gammafns import e_partial_sum, gamma_minimum, log_e_partial, regularized_q
-from cpoch.quadrature import integrate_simplex
-from cpoch.recip_gamma import c_composition_oracle, c_table, recip_gamma_series
-from cpoch.rho import E_quadrature, E_series, nu, rho
-from cpoch.rtilde import (
-    gaussian_expectation,
-    groupoid_cardinalities,
-    rtilde_closed,
-    rtilde_ext,
-    rtilde_poly,
-    rtilde_series_lower,
-    rtilde_series_upper,
-    rtilde_triangle,
-    stilde_mobius_oracle,
-)
-
-GRID = (0.5, 1.0, 2.0)
-E_GAMMA = math.exp(EULER_GAMMA)
-# Gamma(t+1) >= e^(gamma t) fails on 0 < t < 2.90974 (mpmath findroot of
-# ln Gamma(t+1) = gamma t); rounded down, so every point below it is refuted.
-GAMMA_CROSSOVER = 2.9097
-ORACLE_DPS = 30
-ORACLE_RTOL = 1e-10
 
 
 def _announce(number: str, label: str, passed: bool, detail: str = ""):
@@ -62,50 +34,15 @@ def _announce(number: str, label: str, passed: bool, detail: str = ""):
     return passed
 
 
-def _E_oracle(x: float, z: float) -> float:
-    """E(x, z) = int_0^z x^t / Gamma(t+1) dt by mpmath.quad, split at the integers."""
-    with mp.workdps(ORACLE_DPS):
-        x, z = mp.mpf(x), mp.mpf(z)
-        nodes = [mp.mpf(k) for k in range(int(mp.ceil(z)))] + [z]
-        return float(mp.quad(lambda t: x**t * mp.rgamma(t + 1), nodes))
-
-
-def _rho_oracle(x: float, y: float, z: float) -> float:
-    """rho(x, y, z) = x^z E(y (z-1)^2 / 2x, z - 1), E by ``_E_oracle``."""
-    with mp.workdps(ORACLE_DPS):
-        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
-        return float(x**z * _E_oracle(y * (z - 1) ** 2 / (2 * x), z - 1))
-
-
-def _announce_as_stated(label, points, faults):
-    """Judge a published envelope ``value <= bound`` point by point by the oracle.
-
-    Each point is (name, t_max, program value, oracle value, bound), where
-    t_max is the upper end of the E integral.  The program must match the
-    oracle, reach the oracle's verdict on the bound (the bound is the same
-    float on both sides), and find the bound refuted wherever t_max lies
-    below the crossover, since there the integrand exceeds the envelope's.
-    ``faults`` carries the sign-corrected checks made by the caller.
-    """
-    worst, refuted = 0.0, 0
-    for name, t_max, value, exact, bound in points:
-        err = abs(value - exact) / abs(exact)
-        worst = max(worst, err)
-        if err > ORACLE_RTOL:
-            faults.append(f"{name}: {value!r} vs oracle {exact!r}")
-        if (value <= bound) != (exact <= bound):
-            faults.append(f"{name}: verdict differs from the oracle's")
-        if exact <= bound and t_max <= GAMMA_CROSSOVER:
-            faults.append(f"{name}: holds below the crossover")
-        refuted += exact > bound
-    if faults:
-        detail = "; ".join(faults[:6]) + (" ..." if len(faults) > 6 else "")
-    else:
-        detail = (
-            f"refuted at {refuted} of {len(points)} points, as the oracle finds "
-            f"(worst rel {worst:.1e}); sign-corrected holds"
-        )
-    return _announce("12", label, not faults, detail)
+def _accept(verify_cases, number, label, *refs, ok=True, detail=""):
+    """Announce a criterion made of verify cases; a failure names the failing cases."""
+    cases = verify_cases.cases(*refs)
+    failed = [verify_cases.describe(c) for c in cases if not c.passed]
+    if failed:
+        detail = "; ".join(failed)
+    elif not detail:
+        detail = f"{len(cases)} cases, worst residual {max(c.residual for c in cases):.2e}"
+    assert _announce(number, label, ok and not failed, detail)
 
 
 def test_criterion_01_nu_reference_value():
@@ -117,273 +54,104 @@ def test_criterion_01_nu_reference_value():
     assert _announce("1", "nu(1) reference", ok, f"value={value:.6f}, {elapsed:.2f}s")
 
 
-def test_criterion_02_stirling_exactness():
-    start = time.perf_counter()
-    tri = stirling_triangle("first_unsigned", 12)
-    ok = all(
-        tri.value(n, k) == stirling_lattice_oracle(n, k)
-        for n in range(10)
-        for k in range(n + 1)
-    )
-    for n in range(13):
-        ok = ok and sum(tri.row(n)) == math.factorial(n)
-        ok = ok and sum(
-            tri.value(n, k) * 2 ** (n - k) for k in range(n + 1)
-        ) == pochhammer_discrete(1, 2, n)
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 5.0
-    assert _announce("2", "Stirling exactness", ok, f"{elapsed:.2f}s")
-
-
-def test_criterion_03_simplex_moments():
-    start = time.perf_counter()
-    worst = 0.0
-    for k in range(6):
-        for x in GRID:
-            closed = simplex_moment(x, k)
-            quad = integrate_simplex(k, x, moment=True)
-            worst = max(worst, abs(quad - closed) / max(1.0, abs(closed)))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-7 and elapsed < 10.0
-    assert _announce("3", "simplex moments", ok, f"worst={worst:.2e}, {elapsed:.2f}s")
-
-
-def test_criterion_04_partial_exponential_identity():
-    worst = 0.0
-    for n in range(1, 21):
-        for x in (0.1, 1.0, 5.0, 20.0):
-            lhs = e_partial_sum(n, x)
-            rhs = math.exp(x) * regularized_q(float(n), x, 1e-15).value
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    assert _announce("4", "partial-exponential identity", worst <= 1e-10, f"worst={worst:.2e}")
-
-
-def test_criterion_05_extension_consistency():
-    worst = 0.0
-    for n in range(1, 13):
-        for x in GRID:
-            for y in GRID:
-                closed = rtilde_closed(x, y, n)
-                worst = max(worst, abs(rtilde_poly(x, y, n) - closed) / abs(closed))
-                worst = max(worst, abs(rtilde_ext(x, y, float(n)) - closed) / abs(closed))
-    mutual = 0.0
-    compared = 0
-    for n in range(1, 13):
-        for x in GRID:
-            for y in GRID:
-                lo = rtilde_series_lower(x, y, float(n), tol=1e-9)
-                hi = rtilde_series_upper(x, y, float(n), tol=1e-9)
-                if lo.converged and hi.converged:
-                    compared += 1
-                    mutual = max(mutual, abs(lo.value - hi.value) / max(1.0, abs(hi.value)))
-    ok = worst <= 1e-10 and mutual <= 1e-9 and compared >= 10
-    assert _announce(
-        "5", "extension consistency", ok,
-        f"paths={worst:.2e}, series mutual={mutual:.2e} on {compared} points",
+def test_criterion_02_stirling_exactness(verify_cases):
+    elapsed = verify_cases.seconds("discrete")
+    _accept(
+        verify_cases, "2", "Stirling exactness",
+        "discrete/triangle_vs_lattice_oracle", "discrete/row_sums_factorial",
+        "discrete/double_factorial_rows",
+        ok=elapsed < 5.0, detail=f"discrete suite {elapsed:.2f}s",
     )
 
 
-def test_criterion_06_recursion_and_derivatives():
-    worst_rec = 0.0
-    for n in range(2, 13):
-        for x in GRID:
-            for y in GRID:
-                lhs = rtilde_closed(x, y, n + 1)
-                rhs = x * rtilde_closed(x, n**2 / (n - 1) ** 2 * y, n)
-                rhs += n ** (2 * n) * x * y**n / (2**n * math.factorial(n))
-                worst_rec = max(worst_rec, abs(lhs - rhs) / abs(lhs))
-    h = 1e-6
-    worst_fd = 0.0
-    for n in range(3, 9):
-        for x in GRID:
-            for y in GRID:
-                shrunk = (n - 1) ** 2 / (n - 2) ** 2 * y
-                fd_x = (rtilde_closed(x + h, y, n) - rtilde_closed(x - h, y, n)) / (2 * h)
-                rhs = n * rtilde_closed(x, y, n) - (n - 1) ** 2 * y / 2.0 * rtilde_closed(x, shrunk, n - 1)
-                worst_fd = max(worst_fd, abs(x * fd_x - rhs) / max(1.0, abs(rhs)))
-                fd_y = (rtilde_closed(x, y + h, n) - rtilde_closed(x, y - h, n)) / (2 * h)
-                rhs_y = (n - 1) ** 2 / 2.0 * rtilde_closed(x, shrunk, n - 1)
-                worst_fd = max(worst_fd, abs(fd_y - rhs_y) / max(1.0, abs(rhs_y)))
-    ok = worst_rec <= 1e-10 and worst_fd <= 1e-5
-    assert _announce(
-        "6", "recursion and derivatives", ok,
-        f"recursion={worst_rec:.2e}, finite-difference={worst_fd:.2e}",
+def test_criterion_03_simplex_moments(verify_cases):
+    elapsed = verify_cases.seconds("discrete")
+    _accept(
+        verify_cases, "3", "simplex moments", "discrete/simplex_quadrature_vs_closed_forms",
+        ok=elapsed < 10.0, detail=f"discrete suite {elapsed:.2f}s",
     )
 
 
-def test_criterion_07_gaussian_expectation():
-    worst = 0.0
-    for n in range(1, 11):
-        for y in (0.3, 1.0, 2.5):
-            expected = rtilde_closed(1.0, y, n)
-            worst = max(worst, abs(gaussian_expectation(y, n) - expected) / abs(expected))
-    assert _announce("7", "Gaussian expectation", worst <= 1e-9, f"worst={worst:.2e}")
+def test_criterion_04_partial_exponential_identity(verify_cases):
+    _accept(verify_cases, "4", "partial-exponential identity",
+            "kernel/partial_exponential_identity")
 
 
-def test_criterion_08_reciprocal_gamma_coefficients():
-    table = c_table(80)
-    worst_comp = max(abs(c_composition_oracle(n) - table[n]) for n in range(1, 16))
-    worst_series = 0.0
-    for t in (-0.5, -0.25, 0.0, 0.3, 1.0, 1.7, 2.5, 3.0):
-        err = abs(recip_gamma_series(t, table).value - 1.0 / math.gamma(t + 1.0))
-        worst_series = max(worst_series, err)
-    ok = worst_comp <= 1e-10 and worst_series <= 1e-12
-    assert _announce(
-        "8", "reciprocal-gamma coefficients", ok,
-        f"compositions={worst_comp:.2e}, series={worst_series:.2e}",
+def test_criterion_05_extension_consistency(verify_cases):
+    _accept(
+        verify_cases, "5", "extension consistency", "analogue1/extension_consistency",
+        "analogue1/series_forms_mutual", "analogue1/series_forms_region_nonempty",
     )
 
 
-def test_criterion_09_E_consistency():
-    worst = 0.0
-    for x in (0.3, 1.0, E_GAMMA, 4.0):
-        for z in (0.5, 2.0, 5.0, 10.0):
-            series = E_series(x, z, 1e-10)
-            quad = E_quadrature(x, z, 1e-12)
-            worst = max(worst, abs(series.value - quad) / abs(quad))
-    assert _announce("9", "E series vs quadrature", worst <= 1e-8, f"worst={worst:.2e}")
+def test_criterion_06_recursion_and_derivatives(verify_cases):
+    _accept(verify_cases, "6", "recursion and derivatives", "analogue1/order_recursion",
+            "analogue1/scale_derivative_identities")
 
 
-def test_criterion_10_exact_inversion_suite():
-    tri = rtilde_triangle(12)
-    ok = all(
-        sum(tri.s(n, l) * tri.S(l, k) for l in range(k, n + 1)) == (1 if n == k else 0)
-        for n in range(13)
-        for k in range(n + 1)
-    )
-    ok = ok and all(
-        stilde_mobius_oracle(n, k) == tri.S(n, k)
-        for n in range(1, 13)
-        for k in range(1, n + 1)
-    )
-    for n in range(1, 11):
-        for k in range(1, n + 1):
-            cards = groupoid_cardinalities(n, k)
-            ok = ok and cards.g == tri.r(n, k)
-            if n > k:
-                ok = ok and (-1) ** (n - k) * (cards.g_even - cards.g_odd) == tri.S(n, k)
-                m = n - k
-                bound = Fraction(
-                    (n - 1) ** (2 * m) * power_sum_pair(m, m).discrete,
-                    2**m * math.factorial(m),
-                )
-                ok = ok and cards.g_even + cards.g_odd <= bound
-    assert _announce("10", "exact inversion suite", ok)
+def test_criterion_07_gaussian_expectation(verify_cases):
+    _accept(verify_cases, "7", "Gaussian expectation", "analogue1/gaussian_expectation")
 
 
-def test_criterion_11_limit_checks():
-    worst_exp = max(abs(e_partial_sum(60, y) - math.exp(y)) for y in (0.5, 1.0, 2.0))
-    nu_gap = abs(E_quadrature(1.0, 29.0, 1e-12) - nu(1.0, 1e-12))
-    q_central = regularized_q(1000.0, 1000.0, 1e-12).value
-    ok = worst_exp <= 1e-12 and nu_gap <= 1e-10 and abs(q_central - 0.5) <= 0.01
-    assert _announce(
-        "11", "limit checks", ok,
-        f"exp={worst_exp:.2e}, nu gap={nu_gap:.2e}, Q(1000,1000)={q_central:.4f}",
+def test_criterion_08_reciprocal_gamma_coefficients(verify_cases):
+    _accept(verify_cases, "8", "reciprocal-gamma coefficients",
+            "recip/c_recursion_vs_compositions", "recip/series_vs_gamma")
+
+
+def test_criterion_09_E_consistency(verify_cases):
+    _accept(verify_cases, "9", "E series vs quadrature", "analogue2/series_vs_quadrature")
+
+
+def test_criterion_10_exact_inversion_suite(verify_cases):
+    _accept(
+        verify_cases, "10", "exact inversion suite", "analogue1/exact_inversion",
+        "analogue1/mobius_chain_oracle", "analogue1/groupoid_identity",
+        "analogue1/composition_sum_bound",
     )
 
 
-def test_criterion_12_sandwich_bounds():
-    _, m = gamma_minimum()
-    slack = (1.0 - m) / m
-    ok = True
-    for x in (0.3, 0.9, 1.0, 1.5, 4.0):
-        for z in (2.2, 3.7, 6.5):
-            e_val = E_quadrature(x, z, 1e-12)
-            fl, ce = math.floor(z), math.ceil(z)
-            if x >= 1.0:
-                lower = (e_partial_sum(fl + 1, x) - 1.0) / x
-                upper = x * (e_partial_sum(ce, x) + slack)
-            else:
-                lower = e_partial_sum(fl + 1, x) - 1.0
-                upper = e_partial_sum(ce, x) + slack
-            ok = ok and lower <= e_val * (1 + 1e-12) and e_val <= upper * (1 + 1e-12)
-    assert _announce("12", "sandwich bounds", ok)
+def test_criterion_11_limit_checks(verify_cases):
+    _accept(verify_cases, "11", "limit checks", "analogue1/reduced_limit_to_exp",
+            "analogue2/nu_truncation_gap", "kernel/q_central_value")
 
 
-def test_criterion_12_linear_envelope_as_stated():
-    # Published: E(e^gamma, z) <= z on z in {0.5, 1, 2, 5}, refuted below the
-    # crossover (see module docstring).  Sign-corrected: E(e^-gamma, z) <= z.
-    points, faults = [], []
-    for z in (0.5, 1.0, 2.0, 5.0):
-        value = E_series(E_GAMMA, z, 1e-10).value
-        points.append((f"z={z:g}", z, value, _E_oracle(E_GAMMA, z), z))
-        if not E_series(math.exp(-EULER_GAMMA), z, 1e-10).value <= z:
-            faults.append(f"z={z:g}: sign-corrected bound broken")
-    assert _announce_as_stated("linear envelope as stated", points, faults)
+def test_criterion_12_sandwich_bounds(verify_cases):
+    _accept(verify_cases, "12", "sandwich bounds", "analogue2/sandwich_bounds")
 
 
-def test_criterion_12_rho_envelopes_as_stated():
-    # Published: rho(e^-gamma, 2/(z-1)^2, z) <= (z-1) e^(-gamma z) and the
-    # ratio envelope rho <= (x^z - x e^(gamma(1-z))) / (ln x + gamma).  With
-    # y = 2/(z-1)^2, rho(x, y, z) = x^z E(1/x, z-1): the same flipped sign on
-    # t in (0, z-1).  Sign-corrected: the forms of test_rho.py::TestBounds.
-    points, faults = [], []
-    for z in (2.0, 3.0, 5.0, 10.0):
-        x, y = math.exp(-EULER_GAMMA), 2.0 / (z - 1.0) ** 2
-        lhs = rho(x, y, z, 1e-12)
-        bound = (z - 1.0) * math.exp(-EULER_GAMMA * z)
-        points.append((f"e-case z={z:g}", z - 1.0, lhs, _rho_oracle(x, y, z), bound))
-        if not rho(E_GAMMA, y, z, 1e-12) <= (z - 1.0) * math.exp(EULER_GAMMA * z) * (1 + 1e-12):
-            faults.append(f"e-case z={z:g}: sign-corrected bound broken")
-    for x in (0.5, 2.0, math.e, 5.0):
-        for z in (2.0, 3.0, 5.0, 10.0):
-            y = 2.0 / (z - 1.0) ** 2
-            lhs = rho(x, y, z, 1e-12)
-            bound = (x**z - x * math.exp(EULER_GAMMA * (1.0 - z))) / (math.log(x) + EULER_GAMMA)
-            points.append((f"f-case x={x:.3g} z={z:g}", z - 1.0, lhs, _rho_oracle(x, y, z), bound))
-            fixed = (x**z - x * math.exp(EULER_GAMMA * (z - 1.0))) / (math.log(x) - EULER_GAMMA)
-            if not lhs <= fixed * (1 + 1e-12):
-                faults.append(f"f-case x={x:.3g} z={z:g}: sign-corrected bound broken")
-    assert _announce_as_stated("rho envelopes as stated", points, faults)
+def test_criterion_12_linear_envelope_as_stated(verify_cases):
+    (stated,) = verify_cases.cases("analogue2/linear_envelope_as_stated")
+    _accept(
+        verify_cases, "12", "linear envelope as stated",
+        "analogue2/linear_envelope_as_stated", "analogue2/linear_envelope_sign_corrected",
+        detail=f"{stated.actual}; sign-corrected holds",
+    )
 
 
-def test_criterion_12_limit_bounds():
-    _, m = gamma_minimum()
-    slack = (1.0 - m) / m
-    e_big = E_quadrature(2.0, 39.0, 1e-12)
-    ok = (math.exp(2.0) - 1.0) / 2.0 <= e_big <= 2.0 * (math.exp(2.0) + slack)
-    e_small = E_quadrature(0.5, 39.0, 1e-12)
-    ok = ok and math.exp(0.5) - 1.0 <= e_small <= math.exp(0.5) + slack
-    assert _announce("12", "limit bounds", ok)
+def test_criterion_12_rho_envelopes_as_stated(verify_cases):
+    (e_case,) = verify_cases.cases("analogue2/rho_envelope_as_stated")
+    (f_case,) = verify_cases.cases("analogue2/rho_ratio_envelope_as_stated")
+    _accept(
+        verify_cases, "12", "rho envelopes as stated",
+        "analogue2/rho_envelope_as_stated", "analogue2/rho_envelope_sign_corrected",
+        "analogue2/rho_ratio_envelope_as_stated", "analogue2/rho_ratio_envelope_sign_corrected",
+        detail=f"e-case {e_case.actual}; f-case {f_case.actual}; sign-corrected holds",
+    )
 
 
-def test_criterion_12_cross_bound():
-    ok = True
-    for n in range(3, 13):
-        for x in (1.0, 2.0):
-            for y in GRID:
-                if (n - 1) ** 2 * y >= 2.0 * x >= 2.0:
-                    lhs = x * rho(x, y, float(n), 1e-12)
-                    rhs = n**2 * y * rtilde_closed(x, y, n)
-                    ok = ok and lhs <= rhs * (1 + 1e-12)
-    assert _announce("12", "rho vs rtilde cross bound", ok)
+def test_criterion_12_limit_bounds(verify_cases):
+    _accept(verify_cases, "12", "limit bounds", "analogue2/limit_bounds")
 
 
-def test_criterion_12_asymptotic_envelopes():
-    ok = True
-    for n in (10, 20, 40):
-        for y in (1.0, 2.0):
-            log_reduced = math.log(E_quadrature(y, n - 1.0, 1e-12))
-            ok = ok and log_reduced + 2 * n * math.log(n - 1.0) <= math.log(10.0) + 2 * n * math.log(n)
-        e_diag = E_quadrature(float(n), n - 1.0, 1e-10)
-        ok = ok and math.log(e_diag) <= math.log(10.0) + math.log(n) + n
-    assert _announce("12", "asymptotic envelopes (constant 10)", ok)
+def test_criterion_12_cross_bound(verify_cases):
+    _accept(verify_cases, "12", "rho vs rtilde cross bound", "analogue2/cross_bound_rho_rtilde")
 
 
-def test_criterion_12_trend_checks():
-    ok = True
-    y = 15.0
-    devs = []
-    for z in (20.0, 40.0, 80.0):
-        lhs = math.exp(y) * regularized_q(z, y).value
-        rhs = math.exp(y) - math.exp(z * math.log(y) - math.lgamma(z + 1.0))
-        devs.append(abs(math.log(lhs) - math.log(rhs)))
-    ok = ok and devs[0] > devs[1] >= devs[2]
-    z = 6.0
-    devs = [abs(log_e_partial(z, yy) - ((z - 1.0) * math.log(yy) - math.lgamma(z)))
-            for yy in (50.0, 100.0, 200.0)]
-    ok = ok and devs[0] > devs[1] > devs[2]
-    devs = [abs(math.log(regularized_q(zz, zz).value) - math.log(0.5))
-            for zz in (20.0, 40.0, 80.0)]
-    ok = ok and devs[0] > devs[1] > devs[2]
-    assert _announce("12", "asymptotic trend checks", ok)
+def test_criterion_12_asymptotic_envelopes(verify_cases):
+    _accept(verify_cases, "12", "asymptotic envelopes (constant 10)",
+            "analogue2/asymptotic_envelopes")
+
+
+def test_criterion_12_trend_checks(verify_cases):
+    _accept(verify_cases, "12", "asymptotic trend checks", "analogue1/asymptote_trend_a",
+            "analogue1/asymptote_trend_b", "analogue1/asymptote_trend_e")

@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 from click.testing import CliRunner
@@ -78,6 +77,16 @@ class TestEval:
         result = runner.invoke(main, ["eval", "gamma", "--z", "-1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["nu", "--x", "800"],
+        ["rho", "--x", "1", "--y", "1", "--z", "100"],
+        ["gamma", "--z", "1e-320"],
+    ])
+    def test_overflow_is_numerical_failure(self, runner, args):
+        result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 3
+        assert "numerical failure" in result.stderr
+
     def test_non_integer_order_rejected_for_discrete(self, runner):
         result = runner.invoke(main, ["eval", "r", "--x", "1", "--y", "1", "--z", "2.5"])
         assert result.exit_code == 2
@@ -148,20 +157,20 @@ class TestVerify:
         assert runner.invoke(main, ["verify", "--suite", "recip"]).exit_code == 0
 
     def test_analogue2_reports_published_bound_defect(self, runner):
-        # the as-stated envelope bounds are numerically false at small z,
-        # so this suite fails by design; the sign-corrected cases pass
+        # the as-stated envelope bounds are false at small z; their cases pass
+        # by finding them refuted where the oracle does, and say so
         result = runner.invoke(main, ["verify", "--suite", "analogue2", "--format", "json"])
-        assert result.exit_code == 1
+        assert result.exit_code == 0
         records = [json.loads(line) for line in result.stdout.strip().split("\n")]
+        assert all(r["pass"] for r in records)
         by_name = {r["name"]: r for r in records}
-        assert not by_name["analogue2/linear_envelope_as_stated"]["pass"]
+        for name, refuted in (("linear_envelope_as_stated", "4 of 4"),
+                              ("rho_envelope_as_stated", "3 of 4"),
+                              ("rho_ratio_envelope_as_stated", "15 of 16")):
+            assert by_name[f"analogue2/{name}"]["value"].startswith(
+                f"refuted at {refuted} points, as the oracle finds"
+            )
         assert by_name["analogue2/linear_envelope_sign_corrected"]["pass"]
-        failing = {name for name, r in by_name.items() if not r["pass"]}
-        assert failing <= {
-            "analogue2/linear_envelope_as_stated",
-            "analogue2/rho_envelope_as_stated",
-            "analogue2/rho_ratio_envelope_as_stated",
-        }
 
     def test_tol_scale_loosens(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "recip", "--tol-scale", "100"])

@@ -14,7 +14,7 @@ from cpoch.discrete import (
     stirling_lattice_oracle,
     stirling_triangle,
 )
-from cpoch.quadrature import integrate_simplex
+from cpoch.verify import SIMPLEX_X
 
 small_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12
@@ -37,10 +37,9 @@ class TestPochhammerDiscrete:
     def test_product_example(self):
         assert pochhammer_discrete(2, 3, 3) == 80
 
-    def test_factorials(self):
-        for n in range(16):
-            assert pochhammer_discrete(n, -1, n) == math.factorial(n)
-            assert pochhammer_discrete(1, 1, n) == math.factorial(n)
+    def test_factorials(self, verify_cases):
+        verify_cases.check("discrete/falling_factorial_is_factorial",
+                           "discrete/rising_factorial_is_factorial")
 
     @given(small_fractions, small_fractions, st.integers(min_value=0, max_value=8))
     @settings(max_examples=150)
@@ -64,11 +63,8 @@ class TestPochhammerDiscrete:
 
 
 class TestStirlingTriangles:
-    def test_lattice_oracle_matches_triangle(self):
-        tri = stirling_triangle("first_unsigned", 9)
-        for n in range(10):
-            for k in range(n + 1):
-                assert tri.value(n, k) == stirling_lattice_oracle(n, k)
+    def test_lattice_oracle_matches_triangle(self, verify_cases):
+        verify_cases.check("discrete/triangle_vs_lattice_oracle")
 
     def test_oracle_boundaries(self):
         for n in range(1, 10):
@@ -80,16 +76,11 @@ class TestStirlingTriangles:
         with pytest.raises(ValueError):
             stirling_lattice_oracle(10, 3)
 
-    def test_row_sums(self):
-        tri = stirling_triangle("first_unsigned", 10)
-        for n in range(11):
-            assert sum(tri.row(n)) == math.factorial(n)
+    def test_row_sums(self, verify_cases):
+        verify_cases.check("discrete/row_sums_factorial")
 
-    def test_double_factorial_expansion(self):
-        tri = stirling_triangle("first_unsigned", 12)
-        for n in range(13):
-            total = sum(tri.value(n, k) * 2 ** (n - k) for k in range(n + 1))
-            assert total == pochhammer_discrete(1, 2, n)
+    def test_double_factorial_expansion(self, verify_cases):
+        verify_cases.check("discrete/double_factorial_rows")
 
     def test_signed_inversion(self):
         signed = stirling_triangle("first_signed", 12)
@@ -101,16 +92,8 @@ class TestStirlingTriangles:
                 )
                 assert total == (1 if n == k else 0)
 
-    def test_powers_from_falling_factorials(self):
-        second = stirling_triangle("second", 10)
-        for n in range(11):
-            for x in range(-3, 4):
-                xf = Fraction(x)
-                rhs = sum(
-                    second.value(n, k) * pochhammer_discrete(xf, Fraction(-1), k)
-                    for k in range(n + 1)
-                )
-                assert rhs == xf**n
+    def test_powers_from_falling_factorials(self, verify_cases):
+        verify_cases.check("discrete/powers_from_falling_factorials")
 
     def test_no_overflow_at_max_order(self):
         tri = stirling_triangle("first_unsigned", 64)
@@ -135,21 +118,14 @@ class TestSimplexClosedForms:
         assert simplex_moment(1.5, 0) == 1.0
         assert simplex_moment(Fraction(1), 3) == Fraction(1, 48)
 
-    def test_moment_double_factorial_identity(self):
+    def test_moment_double_factorial_identity(self, verify_cases):
         # x^(2k) / (2^k k!) = (2k-1)!! x^(2k) / (2k)! exactly
-        for k in range(9):
-            for x in (Fraction(1, 2), Fraction(3), Fraction(7, 5)):
-                lhs = simplex_moment(x, k)
-                rhs = pochhammer_discrete(1, 2, k) * x ** (2 * k) / math.factorial(2 * k)
-                assert lhs == rhs
+        verify_cases.check("discrete/moment_double_factorial_form")
 
     @pytest.mark.parametrize("k", range(5))
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-    def test_against_nested_quadrature(self, k, x):
-        vol = integrate_simplex(k, x, moment=False)
-        mom = integrate_simplex(k, x, moment=True)
-        assert abs(vol - simplex_volume(x, k)) <= 1e-7 * max(1.0, abs(vol))
-        assert abs(mom - simplex_moment(x, k)) <= 1e-7 * max(1.0, abs(mom))
+    @pytest.mark.parametrize("x", SIMPLEX_X)
+    def test_against_nested_quadrature(self, verify_cases, k, x):
+        verify_cases.check("discrete/simplex_quadrature_vs_closed_forms", k=k, x=x)
 
 
 class TestSumAnalogues:
@@ -158,8 +134,8 @@ class TestSumAnalogues:
         assert pair.discrete == 6
         assert pair.continuous == 4.5
 
-    def test_power_sum_ratio_limit(self):
-        assert abs(power_sum_pair(10_000, 2).ratio - 1.0) <= 2e-4
+    def test_power_sum_ratio_limit(self, verify_cases):
+        verify_cases.check("discrete/power_sum_ratio_limit")
 
     def test_geometric_values(self):
         pair = geometric_sum_pair(2.0, 3.0)
@@ -167,13 +143,8 @@ class TestSumAnalogues:
         assert abs(pair.continuous - 7.0 / math.log(2.0)) <= 1e-12
         assert abs(pair.continuous - 10.0989) <= 1e-4
 
-    def test_geometric_ratio_decays(self):
-        ratios = [
-            geometric_sum_pair(x, 2.0).continuous / geometric_sum_pair(x, 2.0).discrete
-            for x in (1e2, 1e6, 1e50)
-        ]
-        assert ratios[0] > ratios[1] > ratios[2]
-        assert ratios[2] <= 0.01
+    def test_geometric_ratio_decays(self, verify_cases):
+        verify_cases.check("discrete/geometric_ratio_decreasing", "discrete/geometric_ratio_limit")
 
     def test_geometric_rejects_unit_base(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from cpoch.quadrature import (
     integrate_adaptive,
     integrate_simplex,
 )
+from cpoch.verify import SIMPLEX_K, SIMPLEX_X
 
 
 class TestAdaptive:
@@ -81,17 +82,16 @@ class TestGaussHermite:
 
 
 class TestSimplex:
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("k", range(6))
-    def test_volume_closed_form(self, k, x):
-        expected = x**k / math.factorial(k)
-        assert abs(integrate_simplex(k, x, moment=False) - expected) <= 1e-7 * max(1.0, expected)
+    # the case checks volume and moment together
+    @pytest.mark.parametrize("x", SIMPLEX_X)
+    @pytest.mark.parametrize("k", SIMPLEX_K)
+    def test_volume_closed_form(self, verify_cases, k, x):
+        verify_cases.check("discrete/simplex_quadrature_vs_closed_forms", k=k, x=x)
 
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("k", range(6))
-    def test_moment_closed_form(self, k, x):
-        expected = x ** (2 * k) / (2**k * math.factorial(k))
-        assert abs(integrate_simplex(k, x, moment=True) - expected) <= 1e-7 * max(1.0, expected)
+    @pytest.mark.parametrize("x", SIMPLEX_X)
+    @pytest.mark.parametrize("k", SIMPLEX_K)
+    def test_moment_closed_form(self, verify_cases, k, x):
+        verify_cases.check("discrete/simplex_quadrature_vs_closed_forms", k=k, x=x)
 
     def test_examples(self):
         assert abs(integrate_simplex(1, 2.0, moment=True) - 2.0) <= 1e-10

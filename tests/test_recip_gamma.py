@@ -10,8 +10,7 @@ from cpoch.recip_gamma import (
     recip_gamma_series,
     weighted_series_coeffs,
 )
-
-T_GRID = (-0.5, -0.25, 0.0, 0.3, 1.0, 1.7, 2.5, 3.0)
+from cpoch.verify import RECIP_SERIES_T
 
 
 class TestCoefficients:
@@ -39,18 +38,15 @@ class TestCoefficients:
         assert abs(c_composition_oracle(2) - table[2]) <= 1e-12
         assert abs(c_composition_oracle(10) - table[10]) <= 1e-10
 
-    def test_composition_oracle_full_range(self):
-        table = c_table(20)
-        for n in range(1, 16):
-            assert abs(c_composition_oracle(n) - table[n]) <= 1e-10
+    def test_composition_oracle_full_range(self, verify_cases):
+        verify_cases.check("recip/c_recursion_vs_compositions")
 
     def test_composition_budget_guard(self):
         with pytest.raises(ValueError):
             c_composition_oracle(21)
 
-    def test_decay(self):
-        table = c_table(80)
-        assert abs(table[80]) < 1e-12
+    def test_decay(self, verify_cases):
+        verify_cases.check("recip/c80_decay")
 
 
 class TestSeries:
@@ -65,11 +61,9 @@ class TestSeries:
         assert abs(got - 1.0 / math.gamma(1.4616)) <= 1e-13
         assert abs(got - 1.1292) <= 1e-3  # reciprocal of the gamma minimum
 
-    @pytest.mark.parametrize("t", T_GRID)
-    def test_against_gamma_on_window(self, t):
-        result = recip_gamma_series(t, c_table(80))
-        assert result.converged
-        assert abs(result.value - 1.0 / math.gamma(t + 1.0)) <= 1e-12
+    @pytest.mark.parametrize("t", RECIP_SERIES_T)
+    def test_against_gamma_on_window(self, verify_cases, t):
+        verify_cases.check("recip/series_vs_gamma", t=t)
 
     def test_flags_outside_window(self):
         assert not recip_gamma_series(4.5, c_table(80)).converged
@@ -105,12 +99,9 @@ class TestShiftedCoefficients:
                 direct = x**t / math.gamma(t + 1.0)
                 assert abs(total - direct) <= 1e-11 * max(1.0, abs(direct))
 
-    def test_derivative_relation(self):
+    def test_derivative_relation(self, verify_cases):
         # d c_n(x) / dx = c_{n-1}(x) / x at (n, x) = (3, 2)
-        table = c_table(40)
-        h = 1e-5
-        fd = (c_of_x(3, 2.0 + h, table) - c_of_x(3, 2.0 - h, table)) / (2.0 * h)
-        assert abs(fd - c_of_x(2, 2.0, table) / 2.0) <= 1e-7
+        verify_cases.check("recip/coefficient_x_derivative")
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,7 @@ import math
 
 import pytest
 
-from cpoch.core import EULER_GAMMA, ConvergenceError, LogScaled
-from cpoch.gammafns import e_partial_sum, gamma_minimum
-from cpoch.recip_gamma import c_table, weighted_series_coeffs
+from cpoch.core import EULER_GAMMA, LogScaled
 from cpoch.rho import (
     E_deriv_z,
     E_quadrature,
@@ -14,16 +12,9 @@ from cpoch.rho import (
     nu,
     rho,
 )
-from cpoch.rtilde import rtilde_closed
+from cpoch.verify import E_SERIES_X, E_SERIES_Z
 
 E_GAMMA = math.exp(EULER_GAMMA)
-X_GRID = (0.3, 1.0, E_GAMMA, 4.0)
-Z_GRID = (0.5, 2.0, 5.0, 10.0)
-
-
-def _slack():
-    _, m = gamma_minimum()
-    return (1.0 - m) / m
 
 
 class TestESeries:
@@ -31,13 +22,10 @@ class TestESeries:
         result = E_series(1.7, 0.0)
         assert result.value == 0.0 and result.converged
 
-    @pytest.mark.parametrize("x", X_GRID)
-    @pytest.mark.parametrize("z", Z_GRID)
-    def test_against_quadrature(self, x, z):
-        series = E_series(x, z, 1e-10)
-        quad = E_quadrature(x, z, 1e-12)
-        assert series.converged
-        assert abs(series.value - quad) <= 1e-8 * abs(quad)
+    @pytest.mark.parametrize("x", E_SERIES_X)
+    @pytest.mark.parametrize("z", E_SERIES_Z)
+    def test_against_quadrature(self, verify_cases, x, z):
+        verify_cases.check("analogue2/series_vs_quadrature", x=x, z=z)
 
     def test_deep_interval(self):
         series = E_series(1.0, 29.0, 1e-10)
@@ -67,12 +55,11 @@ class TestNu:
     def test_reference_value(self):
         assert abs(nu(1.0, 1e-10) - 2.2665) <= 5e-4
 
-    def test_lower_bound_large_base(self):
-        assert nu(2.0, 1e-10) >= (math.e**2 - 1.0) / 2.0
+    def test_lower_bound_large_base(self, verify_cases):
+        verify_cases.check("analogue2/nu_lower_bound")
 
-    def test_bracket_small_base(self):
-        v = nu(0.5, 1e-10)
-        assert math.exp(0.5) - 1.0 <= v <= math.exp(0.5) + _slack()
+    def test_bracket_small_base(self, verify_cases):
+        verify_cases.check("analogue2/nu_bracket")
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -80,12 +67,11 @@ class TestNu:
 
 
 class TestMu:
-    def test_reduces_to_nu(self):
-        assert mu_function(1.0, 0.0, 0.0, 1e-10) == pytest.approx(nu(1.0, 1e-10), abs=1e-8)
+    def test_reduces_to_nu(self, verify_cases):
+        verify_cases.check("analogue2/mu_reduces_to_nu")
 
-    def test_is_tail_integral(self):
-        expected = nu(1.5, 1e-11) - E_quadrature(1.5, 2.0, 1e-11)
-        assert mu_function(1.5, 0.0, 2.0, 1e-10) == pytest.approx(expected, abs=1e-8)
+    def test_is_tail_integral(self, verify_cases):
+        verify_cases.check("analogue2/mu_is_tail_of_nu")
 
     def test_weighted_variant_is_finite_and_stable(self):
         a = mu_function(1.0, 1.0, 0.0, 1e-10)
@@ -115,10 +101,11 @@ class TestRho:
         assert abs(got - nu(1.0, 1e-12)) <= 1e-10
 
     def test_methods_agree(self):
+        # the series path against the argument map with E by quadrature
         for x, y, z in ((0.5, 2.0, 3.5), (2.0, 1.0, 6.0), (1.0, 3.0, 2.2)):
-            a = rho(x, y, z, 1e-11, method="series")
-            b = rho(x, y, z, 1e-11, method="quadrature")
-            assert a == pytest.approx(b, rel=1e-8)
+            w = y * (z - 1.0) ** 2 / (2.0 * x)
+            expected = x**z * E_quadrature(w, z - 1.0, 1e-11)
+            assert rho(x, y, z, 1e-11) == pytest.approx(expected, rel=1e-8)
 
     def test_log_scaled(self):
         plain = rho(2.0, 1.0, 5.0, 1e-11)
@@ -131,21 +118,15 @@ class TestRho:
             rho(0.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             rho(1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            rho(1.0, 1.0, 2.0, method="nope")
 
 
 class TestDerivatives:
-    def test_first_derivative_is_integrand(self):
-        assert E_deriv_z(1.3, 0.8, 1) == pytest.approx(
-            1.3**0.8 / math.gamma(1.8), rel=1e-9
-        )
+    def test_first_derivative_is_integrand(self, verify_cases):
+        verify_cases.check("analogue2/integrand_derivative")
         assert E_deriv_z(1.0, 0.0, 1) == 1.0
 
-    def test_second_derivative_fd(self):
-        h = 1e-6
-        fd = (E_deriv_z(2.0, 1.5 + h, 1) - E_deriv_z(2.0, 1.5 - h, 1)) / (2 * h)
-        assert E_deriv_z(2.0, 1.5, 2) == pytest.approx(fd, rel=1e-6)
+    def test_second_derivative_fd(self, verify_cases):
+        verify_cases.check("analogue2/second_derivative_fd")
 
     def test_window_guard(self):
         with pytest.raises(ValueError):
@@ -153,51 +134,14 @@ class TestDerivatives:
         with pytest.raises(ValueError):
             E_deriv_z(1.0, 1.0, 4)
 
-    def test_euler_identity(self):
-        h = 1e-6
-        for x in (0.5, 1.0, 2.0):
-            for y in (0.5, 1.0, 2.0):
-                for z in (1.5, 2.5, 4.0):
-                    r0 = rho(x, y, z, 1e-12)
-                    dx = (rho(x + h, y, z, 1e-12) - rho(x - h, y, z, 1e-12)) / (2 * h)
-                    dy = (rho(x, y + h, z, 1e-12) - rho(x, y - h, z, 1e-12)) / (2 * h)
-                    assert abs(x * dx + y * dy - z * r0) <= 1e-5 * max(1.0, abs(z * r0))
+    def test_euler_identity(self, verify_cases):
+        verify_cases.check("analogue2/euler_identity")
 
-    def test_y_derivative_series(self):
-        h = 1e-6
-        table = c_table(110)
-        for x in (0.5, 1.0, 2.0):
-            for y in (0.5, 1.0, 2.0):
-                for z in (1.5, 2.5, 4.0):
-                    w = y * (z - 1.0) ** 2 / (2.0 * x)
-                    coeffs = weighted_series_coeffs(w, table).coefficients
-                    series = 0.0
-                    power = (z - 1.0) ** 2
-                    for n in range(2, len(coeffs) + 2):
-                        series += coeffs[n - 2] * power / n
-                        power *= z - 1.0
-                    series *= x**z
-                    fd = y * (rho(x, y + h, z, 1e-12) - rho(x, y - h, z, 1e-12)) / (2 * h)
-                    assert abs(fd - series) <= 1e-5 * max(1.0, abs(series))
+    def test_y_derivative_series(self, verify_cases):
+        verify_cases.check("analogue2/y_derivative_series")
 
-    def test_z_derivative_identity(self):
-        h = 1e-6
-        table = c_table(110)
-        for x in (0.5, 1.0, 2.0):
-            for y in (0.5, 1.0, 2.0):
-                for z in (1.5, 2.5, 4.0):
-                    w = y * (z - 1.0) ** 2 / (2.0 * x)
-                    coeffs = weighted_series_coeffs(w, table).coefficients
-                    tail = 0.0
-                    power = 1.0
-                    for n in range(len(coeffs)):
-                        tail += coeffs[n] * power
-                        power *= z - 1.0
-                    dy = (rho(x, y + h, z, 1e-12) - rho(x, y - h, z, 1e-12)) / (2 * h)
-                    rhs = math.log(x) * rho(x, y, z, 1e-12)
-                    rhs += 2.0 * y / (z - 1.0) * dy + x**z * tail
-                    dz = (rho(x, y, z + h, 1e-12) - rho(x, y, z - h, 1e-12)) / (2 * h)
-                    assert abs(dz - rhs) <= 1e-5 * max(1.0, abs(rhs))
+    def test_z_derivative_identity(self, verify_cases):
+        verify_cases.check("analogue2/z_derivative_identity")
 
 
 class TestBounds:
@@ -208,7 +152,7 @@ class TestBounds:
     acceptance module checks it as refuted against an independent oracle.
     Here the convexity-backed orientation Gamma(t+1) >= e^(-gamma t) is
     verified, along with the sandwich bounds that do not involve the flipped
-    sign.
+    sign; the checks that ``cpoch.verify`` defines are looked up there.
     """
 
     def test_reciprocal_gamma_exponential_bound(self):
@@ -221,9 +165,8 @@ class TestBounds:
         assert math.gamma(1.5) < math.exp(EULER_GAMMA * 0.5)
         assert E_quadrature(E_GAMMA, 1.0, 1e-12) > 1.0
 
-    def test_linear_envelope_sign_corrected(self):
-        for z in (0.5, 1.0, 2.0, 5.0):
-            assert E_series(math.exp(-EULER_GAMMA), z, 1e-10).value <= z
+    def test_linear_envelope_sign_corrected(self, verify_cases):
+        verify_cases.check("analogue2/linear_envelope_sign_corrected")
 
     def test_ratio_envelope_sign_corrected(self):
         for x in (0.5, 1.0, 2.0, 4.0):
@@ -233,65 +176,26 @@ class TestBounds:
                 bound = (x**z * math.exp(EULER_GAMMA * z) - 1.0) / (math.log(x) + EULER_GAMMA)
                 assert E_quadrature(x, z, 1e-12) <= bound * (1 + 1e-12)
 
-    def test_rho_envelope_sign_corrected(self):
-        for z in (2.0, 3.0, 5.0, 10.0):
-            lhs = rho(E_GAMMA, 2.0 / (z - 1.0) ** 2, z, 1e-12)
-            assert lhs <= (z - 1.0) * math.exp(EULER_GAMMA * z) * (1 + 1e-12)
+    def test_rho_envelope_sign_corrected(self, verify_cases):
+        verify_cases.check("analogue2/rho_envelope_sign_corrected")
 
-    def test_rho_ratio_envelope_sign_corrected(self):
-        for x in (0.5, 2.0, math.e, 5.0):
-            for z in (2.0, 3.0, 5.0, 10.0):
-                lhs = rho(x, 2.0 / (z - 1.0) ** 2, z, 1e-12)
-                bound = (x**z - x * math.exp(EULER_GAMMA * (z - 1.0))) / (
-                    math.log(x) - EULER_GAMMA
-                )
-                assert lhs <= bound * (1 + 1e-12)
+    def test_rho_ratio_envelope_sign_corrected(self, verify_cases):
+        verify_cases.check("analogue2/rho_ratio_envelope_sign_corrected")
 
-    def test_sandwich(self):
-        slack = _slack()
-        for x in (0.3, 0.9, 1.0, 1.5, 4.0):
-            for z in (2.2, 3.7, 6.5):
-                e_val = E_quadrature(x, z, 1e-12)
-                fl, ce = math.floor(z), math.ceil(z)
-                if x >= 1.0:
-                    lower = (e_partial_sum(fl + 1, x) - 1.0) / x
-                    upper = x * (e_partial_sum(ce, x) + slack)
-                else:
-                    lower = e_partial_sum(fl + 1, x) - 1.0
-                    upper = e_partial_sum(ce, x) + slack
-                assert lower <= e_val * (1 + 1e-12)
-                assert e_val <= upper * (1 + 1e-12)
+    def test_sandwich(self, verify_cases):
+        verify_cases.check("analogue2/sandwich_bounds")
 
-    def test_limit_bounds(self):
-        slack = _slack()
-        e_big = E_quadrature(2.0, 39.0, 1e-12)
-        assert (math.exp(2.0) - 1.0) / 2.0 <= e_big <= 2.0 * (math.exp(2.0) + slack)
-        e_small = E_quadrature(0.5, 39.0, 1e-12)
-        assert math.exp(0.5) - 1.0 <= e_small <= math.exp(0.5) + slack
+    def test_limit_bounds(self, verify_cases):
+        verify_cases.check("analogue2/limit_bounds")
 
-    def test_cross_bound_with_first_analogue(self):
-        for n in range(3, 13):
-            for x in (1.0, 2.0):
-                for y in (0.5, 1.0, 2.0):
-                    if (n - 1) ** 2 * y >= 2.0 * x >= 2.0:
-                        lhs = x * rho(x, y, float(n), 1e-12)
-                        rhs = n**2 * y * rtilde_closed(x, y, n)
-                        assert lhs <= rhs * (1 + 1e-12)
+    def test_cross_bound_with_first_analogue(self, verify_cases):
+        verify_cases.check("analogue2/cross_bound_rho_rtilde")
 
-    def test_asymptotic_envelopes(self):
-        for n in (10, 20, 40):
-            for y in (1.0, 2.0):
-                log_reduced = math.log(E_quadrature(y, n - 1.0, 1e-12))
-                assert log_reduced + 2 * n * math.log(n - 1.0) <= math.log(10.0) + 2 * n * math.log(n)
-            e_big = E_quadrature(float(n), n - 1.0, 1e-10)
-            assert math.log(e_big) <= math.log(10.0) + math.log(n) + n
+    def test_asymptotic_envelopes(self, verify_cases):
+        verify_cases.check("analogue2/asymptotic_envelopes")
 
-    def test_laplace_monotonicity(self):
-        for s in (0.1, 0.5, 1.0, 2.0):
-            vals = [E_quadrature(math.exp(-s), z, 1e-12) for z in (1.0, 2.0, 4.0, 8.0)]
-            assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
-        nus = [nu(math.exp(-s), 1e-11) for s in (0.1, 0.5, 1.0, 2.0)]
-        assert all(b < a for a, b in zip(nus, nus[1:]))
+    def test_laplace_monotonicity(self, verify_cases):
+        verify_cases.check("analogue2/laplace_monotonicity")
 
     def test_integrand_helper(self):
         assert e_integrand(1.0, 0.0) == 1.0

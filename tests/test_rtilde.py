@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpoch.core import LogScaled
-from cpoch.discrete import power_sum_pair
-from cpoch.gammafns import e_partial_sum, log_e_partial, regularized_q
+from cpoch.gammafns import e_partial_sum
 from cpoch.rtilde import (
     cosh_truncated,
     gaussian_expectation,
@@ -21,8 +20,6 @@ from cpoch.rtilde import (
     rtilde_triangle,
     stilde_mobius_oracle,
 )
-
-GRID = (0.5, 1.0, 2.0)
 
 
 class TestCoefficients:
@@ -57,20 +54,11 @@ class TestTriangles:
         for n in range(2, 7):
             assert tri.S(n, n - 1) == Fraction((n - 1) ** 2, 2)
 
-    def test_exact_inversion_both_orders(self):
-        tri = rtilde_triangle(12)
-        for n in range(13):
-            for k in range(n + 1):
-                left = sum(tri.s(n, l) * tri.S(l, k) for l in range(k, n + 1))
-                right = sum(tri.S(n, l) * tri.s(l, k) for l in range(k, n + 1))
-                delta = 1 if n == k else 0
-                assert left == delta and right == delta
+    def test_exact_inversion_both_orders(self, verify_cases):
+        verify_cases.check("analogue1/exact_inversion")
 
-    def test_mobius_oracle_matches_inversion(self):
-        tri = rtilde_triangle(12)
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                assert stilde_mobius_oracle(n, k) == tri.S(n, k)
+    def test_mobius_oracle_matches_inversion(self, verify_cases):
+        verify_cases.check("analogue1/mobius_chain_oracle")
 
     def test_mobius_oracle_examples(self):
         assert stilde_mobius_oracle(5, 5) == 1
@@ -96,29 +84,16 @@ class TestGroupoids:
         cards = groupoid_cardinalities(5, 5)
         assert cards.g_even == 0 and cards.g_odd == 0
 
-    def test_signed_difference_is_second_kind_analogue(self):
-        tri = rtilde_triangle(10)
-        for n in range(1, 11):
-            for k in range(1, n):
-                cards = groupoid_cardinalities(n, k)
-                assert (-1) ** (n - k) * (cards.g_even - cards.g_odd) == tri.S(n, k)
+    def test_signed_difference_is_second_kind_analogue(self, verify_cases):
+        verify_cases.check("analogue1/groupoid_identity")
 
     def test_specific_cell(self):
         tri = rtilde_triangle(5)
         cards = groupoid_cardinalities(5, 2)
         assert (-1) ** 3 * (cards.g_even - cards.g_odd) == tri.S(5, 2)
 
-    def test_composition_sum_bound(self):
-        # |G^e| + |G^o| <= (n-1)^(2(n-k)) S_{n-k}(n-k) / (2^(n-k) (n-k)!)
-        for n in range(2, 11):
-            for k in range(1, n):
-                m = n - k
-                cards = groupoid_cardinalities(n, k)
-                bound = Fraction(
-                    (n - 1) ** (2 * m) * power_sum_pair(m, m).discrete,
-                    2**m * math.factorial(m),
-                )
-                assert cards.g_even + cards.g_odd <= bound
+    def test_composition_sum_bound(self, verify_cases):
+        verify_cases.check("analogue1/composition_sum_bound")
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
@@ -166,26 +141,14 @@ class TestEvaluations:
         got = rtilde_closed(x, -1.0, n)
         assert got == pytest.approx(x**n * e_partial_sum(n, -((n - 1) ** 2) / (2 * x)), rel=1e-12)
 
-    def test_extension_consistency_grid(self):
-        for n in range(1, 13):
-            for x in GRID:
-                for y in GRID:
-                    closed = rtilde_closed(x, y, n)
-                    assert abs(rtilde_poly(x, y, n) - closed) <= 1e-10 * abs(closed)
-                    assert abs(rtilde_ext(x, y, float(n)) - closed) <= 1e-10 * abs(closed)
+    def test_extension_consistency_grid(self, verify_cases):
+        verify_cases.check("analogue1/extension_consistency")
 
-    def test_extension_scaling_identity(self):
-        x, y, z = 2.0, 3.0, 2.5
-        assert rtilde_ext(x, y, z) == pytest.approx(
-            y**z * rtilde_ext(x / y, 1.0, z), rel=1e-11
-        )
+    def test_extension_scaling_identity(self, verify_cases):
+        verify_cases.check("analogue1/scaling_identity")
 
-    def test_extension_upper_envelope(self):
-        for x in (0.7, 1.0, 2.5, 4.0):
-            for y in (0.25, 1.0, 3.0):
-                for z in (1.3, 2.0, 4.7, 9.5):
-                    w = y * (z - 1.0) ** 2 / (2.0 * x)
-                    assert rtilde_ext(x, y, z) <= x**z * math.exp(w) * (1.0 + 1e-12)
+    def test_extension_upper_envelope(self, verify_cases):
+        verify_cases.check("analogue1/upper_envelope")
 
     def test_log_scaled_matches_plain(self):
         plain = rtilde_closed(1.5, 2.0, 8)
@@ -209,17 +172,8 @@ class TestEvaluations:
 
 
 class TestSeriesForms:
-    def test_mutual_agreement_where_converged(self):
-        compared = 0
-        for n in range(1, 13):
-            for x in GRID:
-                for y in GRID:
-                    lo = rtilde_series_lower(x, y, float(n), tol=1e-9)
-                    hi = rtilde_series_upper(x, y, float(n), tol=1e-9)
-                    if lo.converged and hi.converged:
-                        compared += 1
-                        assert abs(lo.value - hi.value) <= 1e-9 * max(1.0, abs(hi.value))
-        assert compared >= 10
+    def test_mutual_agreement_where_converged(self, verify_cases):
+        verify_cases.check("analogue1/series_forms_mutual", "analogue1/series_forms_region_nonempty")
 
     def test_agree_with_gamma_route(self):
         for z in (1.5, 2.5, 4.0):
@@ -238,28 +192,11 @@ class TestSeriesForms:
 
 
 class TestRecursionAndDerivatives:
-    def test_order_recursion(self):
-        for n in range(2, 13):
-            for x in GRID:
-                for y in GRID:
-                    lhs = rtilde_closed(x, y, n + 1)
-                    rhs = x * rtilde_closed(x, n**2 / (n - 1) ** 2 * y, n)
-                    rhs += n ** (2 * n) * x * y**n / (2**n * math.factorial(n))
-                    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+    def test_order_recursion(self, verify_cases):
+        verify_cases.check("analogue1/order_recursion")
 
-    def test_scale_derivatives(self):
-        h = 1e-6
-        for n in range(3, 9):
-            for x in GRID:
-                for y in GRID:
-                    shrunk = (n - 1) ** 2 / (n - 2) ** 2 * y
-                    fd_x = (rtilde_closed(x + h, y, n) - rtilde_closed(x - h, y, n)) / (2 * h)
-                    rhs = n * rtilde_closed(x, y, n)
-                    rhs -= (n - 1) ** 2 * y / 2.0 * rtilde_closed(x, shrunk, n - 1)
-                    assert abs(x * fd_x - rhs) <= 1e-5 * max(1.0, abs(rhs))
-                    fd_y = (rtilde_closed(x, y + h, n) - rtilde_closed(x, y - h, n)) / (2 * h)
-                    rhs_y = (n - 1) ** 2 / 2.0 * rtilde_closed(x, shrunk, n - 1)
-                    assert abs(fd_y - rhs_y) <= 1e-5 * max(1.0, abs(rhs_y))
+    def test_scale_derivatives(self, verify_cases):
+        verify_cases.check("analogue1/scale_derivative_identities")
 
 
 class TestGaussianExpectation:
@@ -269,11 +206,8 @@ class TestGaussianExpectation:
     def test_order_two(self):
         assert gaussian_expectation(1.0, 2) == pytest.approx(1.5, rel=1e-13)
 
-    def test_matches_closed_form(self):
-        for n in range(1, 11):
-            for y in (0.3, 1.0, 2.5):
-                expected = rtilde_closed(1.0, y, n)
-                assert gaussian_expectation(y, n) == pytest.approx(expected, rel=1e-9)
+    def test_matches_closed_form(self, verify_cases):
+        verify_cases.check("analogue1/gaussian_expectation")
 
     def test_specific_case(self):
         assert gaussian_expectation(0.7, 6) == pytest.approx(
@@ -292,10 +226,9 @@ class TestGaussianExpectation:
 
 
 class TestLimitsAndAsymptotics:
-    def test_reduced_limit_to_exponential(self):
+    def test_reduced_limit_to_exponential(self, verify_cases):
         # rt((n-1)^2, 2y, n) / (n-1)^(2n) in its reduced form e_{n-1}(y)
-        for y in (0.5, 1.0, 2.0):
-            assert abs(e_partial_sum(60, y) - math.exp(y)) <= 1e-12
+        verify_cases.check("analogue1/reduced_limit_to_exp")
 
     def test_reduced_limit_matches_scaled_triangle(self):
         # the algebraic reduction agrees with the log-scaled direct evaluation
@@ -304,39 +237,17 @@ class TestLimitsAndAsymptotics:
         reduced = math.log(e_partial_sum(n, y)) + 2.0 * n * math.log(n - 1.0)
         assert direct.log_magnitude == pytest.approx(reduced, rel=1e-13)
 
-    def test_trend_fixed_y(self):
-        y = 15.0
-        devs = []
-        for z in (20.0, 40.0, 80.0):
-            lhs = math.exp(y) * regularized_q(z, y).value
-            rhs = math.exp(y) - math.exp(z * math.log(y) - math.lgamma(z + 1.0))
-            devs.append(abs(math.log(lhs) - math.log(rhs)))
-        assert devs[0] > devs[1] >= devs[2]
+    def test_trend_fixed_y(self, verify_cases):
+        verify_cases.check("analogue1/asymptote_trend_a")
 
-    def test_trend_fixed_z_growing_y(self):
-        z = 6.0
-        devs = []
-        for y in (50.0, 100.0, 200.0):
-            devs.append(abs(log_e_partial(z, y) - ((z - 1.0) * math.log(y) - math.lgamma(z))))
-        assert devs[0] > devs[1] > devs[2]
+    def test_trend_fixed_z_growing_y(self, verify_cases):
+        verify_cases.check("analogue1/asymptote_trend_b")
 
-    def test_trend_reciprocal_base(self):
-        x = 12.0
-        devs = []
-        for z in (20.0, 40.0, 80.0):
-            lhs = math.exp(x) * regularized_q(z, x).value
-            rhs = math.exp(x) - math.exp(z * math.log(x) - math.lgamma(z + 1.0))
-            devs.append(abs(math.log(lhs) - math.log(rhs)))
-        assert devs[0] > devs[1] >= devs[2]
+    def test_trend_reciprocal_base(self, verify_cases):
+        verify_cases.check("analogue1/asymptote_trend_c")
 
-    def test_trend_reciprocal_base_growing_x(self):
-        z = 6.0
-        devs = []
-        for x in (50.0, 100.0, 200.0):
-            devs.append(abs((1.0 - z) * math.log(x) + log_e_partial(z, x) + math.lgamma(z)))
-        assert devs[0] > devs[1] > devs[2]
+    def test_trend_reciprocal_base_growing_x(self, verify_cases):
+        verify_cases.check("analogue1/asymptote_trend_d")
 
-    def test_trend_diagonal(self):
-        devs = [abs(math.log(regularized_q(z, z).value) - math.log(0.5))
-                for z in (20.0, 40.0, 80.0)]
-        assert devs[0] > devs[1] > devs[2]
+    def test_trend_diagonal(self, verify_cases):
+        verify_cases.check("analogue1/asymptote_trend_e")

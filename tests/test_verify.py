@@ -1,0 +1,44 @@
+"""The oracle-judged ``*_as_stated`` cases of ``cpoch.verify`` catch a wrong program.
+
+A correct program passes all three; a program whose E or rho is off fails
+them, although the published bounds are refuted either way.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import cpoch.verify
+from cpoch.verify import run_suite
+
+AS_STATED = (
+    "linear_envelope_as_stated",
+    "rho_envelope_as_stated",
+    "rho_ratio_envelope_as_stated",
+)
+
+
+def _analogue2_verdicts() -> dict[str, bool]:
+    return {c.case_id: c.passed for c in run_suite("analogue2").cases}
+
+
+@pytest.mark.parametrize("case_id", AS_STATED)
+def test_as_stated_cases_pass_on_correct_program(verify_cases, case_id):
+    verify_cases.check(f"analogue2/{case_id}")
+
+
+def test_E_series_error_fails_linear_envelope_case(monkeypatch):
+    exact = cpoch.verify.E_series
+
+    def off(x, z, tol=1e-10):
+        result = exact(x, z, tol)
+        return replace(result, value=result.value * (1 + 1e-9))
+
+    monkeypatch.setattr(cpoch.verify, "E_series", off)
+    assert not _analogue2_verdicts()["linear_envelope_as_stated"]
+
+
+def test_rho_error_fails_rho_envelope_case(monkeypatch):
+    exact = cpoch.verify.rho
+    monkeypatch.setattr(cpoch.verify, "rho", lambda *args: 0.7 * exact(*args))
+    assert not _analogue2_verdicts()["rho_envelope_as_stated"]
