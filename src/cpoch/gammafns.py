@@ -14,6 +14,7 @@ ulp on (0, 171.62]) with a log-space fallback beyond overflow.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .core import LOG_FLOAT_MAX, LogScaled, SeriesEval
@@ -33,6 +34,9 @@ __all__ = [
 #: Largest z for which Gamma(z) fits in binary64.
 GAMMA_OVERFLOW_Z = 171.624
 
+#: Gamma(z) ~ 1/z exceeds binary64 for 0 < z <= this (about 5.56e-309).
+GAMMA_TINY_Z = 1.0 / sys.float_info.max
+
 _MAX_SERIES_TERMS = 10_000
 _MAX_CF_TERMS = 10_000
 _EPS = 2.220446049250313e-16
@@ -40,10 +44,11 @@ _TINY = 1e-300
 
 
 def gamma(z: float) -> float | LogScaled:
-    """Gamma(z) for z > 0; LogScaled once the value exceeds binary64 range."""
+    """Gamma(z) for z > 0; LogScaled where the value exceeds binary64 range
+    (z near 0 or past ~171.6)."""
     if z <= 0:
         raise ValueError(f"gamma requires z > 0, got {z}")
-    if z < GAMMA_OVERFLOW_Z:
+    if GAMMA_TINY_Z < z < GAMMA_OVERFLOW_Z:
         return math.gamma(z)
     return LogScaled(1, math.lgamma(z))
 
@@ -218,7 +223,7 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
     log_value = exponent * math.log(y) + math.lgamma(a)
     if log_value > LOG_FLOAT_MAX - 1.0:
         return LogScaled(1, log_value)
-    if abs(exponent * math.log(y)) > 690.0 or a >= GAMMA_OVERFLOW_Z:
+    if abs(exponent * math.log(y)) > 690.0 or not GAMMA_TINY_Z < a < GAMMA_OVERFLOW_Z:
         return math.exp(log_value)
     return y**exponent * math.gamma(a)
 

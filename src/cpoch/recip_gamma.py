@@ -20,6 +20,7 @@ evaluation near the edge of the window.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,10 @@ SERIES_WINDOW = 3.0
 
 _COMPOSITION_LIMIT = 20
 _EPS = 2.220446049250313e-16
+
+#: Distinct x whose shifted coefficients are kept; a z-sweep at fixed x
+#: (E_series, rho along a curve) then builds them once.
+_WEIGHTED_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -158,8 +163,13 @@ def recip_gamma_series(
     return SeriesEval(value, len(coeffs), tail, converged)
 
 
+@lru_cache(maxsize=_WEIGHTED_CACHE_SIZE)
 def weighted_series_coeffs(x: float, table: CoeffTable | None = None) -> CoeffTable:
-    """Coefficient table of t -> x^t / Gamma(t+1), i.e. all c_n(x)."""
+    """Coefficient table of t -> x^t / Gamma(t+1), i.e. all c_n(x).
+
+    Cached for the 64 most recent (x, table) arguments; the returned table
+    is immutable, so callers share it.
+    """
     if x <= 0:
         raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")
     if table is None:
@@ -172,8 +182,9 @@ def weighted_series_coeffs(x: float, table: CoeffTable | None = None) -> CoeffTa
     log_powers = [1.0]
     for k in range(1, len(table)):
         log_powers.append(log_powers[-1] * lx / k)
+    coeffs = table.coefficients
     shifted = tuple(
-        math.fsum(table[n - k] * log_powers[k] for k in range(n + 1))
-        for n in range(len(table))
+        math.fsum(map(operator.mul, coeffs[n::-1], log_powers[: n + 1]))
+        for n in range(len(coeffs))
     )
     return CoeffTable(shifted)

@@ -25,7 +25,12 @@ through the gamma functional equation as
 so every series argument stays inside [0, 1].  (Taylor-shifting the
 coefficient table instead is exact in theory but numerically dead in
 binary64: the shifted-coefficient sums carry terms of size ~exp(pi t0 / 2)
-that must cancel to reach tiny targets.)
+that must cancel to reach tiny targets.)  Every full subinterval is
+integrated at the same Gauss-Legendre nodes u, so the node series values
+are computed once per call and shared by all of them; from one subinterval
+to the next only x^t0 changes and each node's denominator gains the factor
+(u+t0).  Only a final partial subinterval evaluates the series at nodes of
+its own.
 """
 
 from __future__ import annotations
@@ -76,7 +81,9 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     Single-centre for z <= 3; past that, unit subintervals [t0, t0+1] are
     integrated with the recentred representation
     x^t0 series(u) / ((u+1)...(u+t0)), whose series argument u stays in
-    [0, 1].  Agrees with E_quadrature to ~1e-13 relative over the tested
+    [0, 1].  The series values at the nodes are computed once and shared by
+    every full subinterval; a final partial one evaluates its own.  Agrees
+    with E_quadrature to ~1e-13 relative over the tested
     domain (x <= 50, z <= 30).
     """
     if x <= 0:
@@ -102,17 +109,24 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     floor = _EPS * peak * 8.0
     if z > DIRECT_SERIES_LIMIT:
         nodes, weights = _legendre_rule(_SEGMENT_RULE_NODES)
+        # Each full segment's (u+1)...(u+t0) extends the previous one by a
+        # factor, in the order a fresh product takes, so the floats match it.
+        full_u = [0.5 * (node + 1.0) for node in nodes]
+        full_values = [_horner(coeffs, u) for u in full_u]
+        full_denoms = [(u + 1.0) * (u + 2.0) for u in full_u]
         t0 = 3
         while t0 < z:
-            length = min(1.0, z - t0)
-            half = 0.5 * length
+            if z - t0 >= 1.0:
+                full_denoms = [d * (u + t0) for d, u in zip(full_denoms, full_u)]
+                half, values, denoms = 0.5, full_values, full_denoms
+            else:
+                half = 0.5 * (z - t0)
+                part_u = [half * (node + 1.0) for node in nodes]
+                values = [_horner(coeffs, u) for u in part_u]
+                denoms = [math.prod(u + j for j in range(1, t0 + 1)) for u in part_u]
             segment = 0.0
-            for node, weight in zip(nodes, weights):
-                u = half * (node + 1.0)
-                denom = 1.0
-                for j in range(1, t0 + 1):
-                    denom *= u + j
-                segment += weight * _horner(coeffs, u) / denom
+            for weight, value, denom in zip(weights, values, denoms):
+                segment += weight * value / denom
             seg_value = x**t0 * segment * half
             total += seg_value
             floor += _EPS * (abs(seg_value) + 1.0) * 8.0
@@ -226,7 +240,8 @@ def rho(
     Defined for z > 1; the boundary value rho(x, y, 1) = 0 is accepted by
     continuity.  E is evaluated by ``E_series``, the coefficient machinery,
     which is smooth in the parameters; ``E_quadrature`` is its independent
-    oracle.
+    oracle.  Raises ConvergenceError unless E's series certifies ``tol`` and
+    x^z times its tail estimate stays within tol * max(1, |rho|).
     """
     if x <= 0:
         raise ValueError(f"rho requires x > 0, got {x}")
@@ -243,11 +258,19 @@ def rho(
             f"E series did not certify tol={tol} at (x={w}, z={z - 1.0}); "
             f"tail estimate {result.tail_estimate:.3g}"
         )
-    e_value = result.value
-    log_value = z * math.log(x) + math.log(e_value)
+    # E's certificate is absolute when E < 1; rho's is relative to rho = x^z E
+    # once that exceeds 1, so the tail is scaled by x^z (in logs, to cover
+    # the LogScaled range) and checked again.
+    log_scale = z * math.log(x)
+    log_value = log_scale + math.log(result.value)
+    if log_scale + math.log(result.tail_estimate) > math.log(tol) + max(0.0, log_value):
+        raise ConvergenceError(
+            f"rho did not certify tol={tol} at (x={x}, y={y}, z={z}): E tail estimate "
+            f"{result.tail_estimate:.3g} scaled by x^z exceeds tol * max(1, |rho|)"
+        )
     if log_scaled or log_value > LOG_FLOAT_MAX - 1.0:
         return LogScaled(1, log_value)
-    return x**z * e_value
+    return x**z * result.value
 
 
 def E_deriv_z(x: float, z: float, k: int = 1, table: CoeffTable | None = None) -> float:

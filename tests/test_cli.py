@@ -80,10 +80,24 @@ class TestEval:
     @pytest.mark.parametrize("args", [
         ["nu", "--x", "800"],
         ["rho", "--x", "1", "--y", "1", "--z", "100"],
-        ["gamma", "--z", "1e-320"],
     ])
     def test_overflow_is_numerical_failure(self, runner, args):
         result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 3
+        assert "numerical failure" in result.stderr
+
+    def test_gamma_near_zero_is_log_scaled(self, runner):
+        result = runner.invoke(main, ["eval", "gamma", "--z", "1e-320"])
+        assert result.exit_code == 0
+        sign, log_mag = result.output.split()
+        assert sign == "1"
+        assert abs(float(log_mag) - 736.8272408909739) <= 1e-9
+
+    def test_uncertified_rho_is_numerical_failure(self, runner):
+        result = runner.invoke(main, [
+            "eval", "rho", "--x", "23681.166079424744", "--y", "1.1231528383600349",
+            "--z", "26.82961228779542",
+        ])
         assert result.exit_code == 3
         assert "numerical failure" in result.stderr
 

@@ -45,6 +45,13 @@ class TestGamma:
         assert result.sign == 1
         assert abs(result.log_magnitude - stirling_log_gamma(200.0)) <= 1e-12 * result.log_magnitude
 
+    def test_near_zero_switches_to_log_scale(self):
+        # Gamma(z) ~ 1/z exceeds binary64 for z <= 1/DBL_MAX ~ 5.56e-309
+        result = gamma(1e-320)
+        assert isinstance(result, LogScaled)
+        assert (result.sign, result.log_magnitude) == (1, math.lgamma(1e-320))
+        assert gamma(5.6e-309) == math.gamma(5.6e-309)
+
     @pytest.mark.parametrize("z", GAMMA_RECURRENCE_Z)
     def test_recurrence(self, verify_cases, z):
         verify_cases.check("kernel/gamma_recurrence", z=z)
@@ -152,6 +159,12 @@ class TestGammaY:
             )
         )
         assert abs(gamma_y(y, x) - value) <= 1e-8 * abs(value)
+
+    def test_near_zero_order_stays_finite(self):
+        # Gamma(1e-309) alone overflows; y^(a-1) Gamma(a) ~ 1e306 does not
+        a = 1e-306 / 1000.0
+        expected = math.exp((a - 1.0) * math.log(1000.0) + math.lgamma(a))
+        assert gamma_y(1000.0, 1e-306) == pytest.approx(expected, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from cpoch.recip_gamma import (
     recip_gamma_series,
     weighted_series_coeffs,
 )
+from cpoch.rho import E_series
 from cpoch.verify import RECIP_SERIES_T
 
 
@@ -108,3 +109,29 @@ class TestShiftedCoefficients:
             c_of_x(2, 0.0, c_table(5))
         with pytest.raises(ValueError):
             weighted_series_coeffs(-1.0, c_table(5))
+
+
+class TestWeightedCache:
+    def test_z_sweep_builds_coefficients_once(self):
+        weighted_series_coeffs.cache_clear()
+        for k in range(16):
+            E_series(3.7, 0.4 + 1.9 * k)
+        info = weighted_series_coeffs.cache_info()
+        assert (info.misses, info.hits) == (1, 15)
+        table = c_table(110)
+        assert weighted_series_coeffs(3.7, table) == weighted_series_coeffs.__wrapped__(3.7, table)
+
+    def test_bounded(self):
+        weighted_series_coeffs.cache_clear()
+        size = weighted_series_coeffs.cache_info().maxsize
+        assert size is not None
+        table = c_table(10)
+        for k in range(size + 10):
+            weighted_series_coeffs(0.5 + k / 16.0, table)
+        assert weighted_series_coeffs.cache_info().currsize == size
+
+    def test_rejected_x_raises_every_call(self):
+        for _ in range(3):
+            for x in (0.0, -1.0):
+                with pytest.raises(ValueError):
+                    weighted_series_coeffs(x, c_table(5))

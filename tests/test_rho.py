@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cpoch.core import EULER_GAMMA, LogScaled
+from cpoch.core import EULER_GAMMA, ConvergenceError, LogScaled
 from cpoch.rho import (
     E_deriv_z,
     E_quadrature,
@@ -15,6 +15,34 @@ from cpoch.rho import (
 from cpoch.verify import E_SERIES_X, E_SERIES_Z
 
 E_GAMMA = math.exp(EULER_GAMMA)
+
+# Exact outputs of E_series (value, terms, tail, converged) and of rho, as
+# float.hex: z <= 3, integer z past 3 (only full unit segments) and
+# non-integer z (a final partial segment), at x = 1 and on both sides of it.
+E_SERIES_PINNED = [
+    (0.3, 1.7, "0x1.80e7c019a8814p-1", 111, "0x1.d3caa70029224p-49", True),
+    (2.0, 3.0, "0x1.55a924232272bp+2", 111, "0x1.87fba95e40c3ap-47", True),
+    (1.0, 2.5, "0x1.046a669f7ef3cp+1", 111, "0x1.b54086325f5c1p-48", True),
+    (120.0, 3.4, "0x1.42c1e5d7dcf81p+18", 2775, "0x1.ff6303446cf5dp-32", True),
+    (7.5, 4.0, "0x1.4de2b1140c469p+7", 2775, "0x1.f28cc0b6d2a39p-43", True),
+    (0.05, 12.0, "0x1.6c5823c422bc4p-2", 24087, "0x1.722e7ad10b34dp-39", True),
+    (1.0, 10.0, "0x1.221dcc8942622p+1", 18759, "0x1.e6c47a058a922p-46", True),
+    (500.0, 25.0, "0x1.d83df2022b63fp+138", 58719, "0x1.d83df2022b63fp+89", True),
+    (2.0, 30.0, "0x1.bfd8583a9dc81p+2", 72039, "0x1.16455baeb7831p-44", True),
+    (0.2, 5.25, "0x1.4142688a7f17ap-1", 8103, "0x1.4b3fd6e96f99dp-43", True),
+    (1.0, 17.3, "0x1.221dcd80e9c43p+1", 40071, "0x1.73623d21ba356p-45", True),
+    (50.0, 8.75, "0x1.e27ac6c1a77f2p+30", 16095, "0x1.e27a64fc667f8p-19", True),
+    (0.01, 20.6, "0x1.da9ae6e420779p-3", 48063, "0x1.01ac9f72919bap-33", False),
+    (2.0, 29.5, "0x1.bfd8583a9dc81p+2", 72039, "0x1.16455baeb7831p-44", True),
+]
+RHO_PINNED = [
+    (1.0, 1.0, 2.0, "0x1.90dcccb6c92a1p-1"),
+    (2.0, 0.5, 4.5, "0x1.5e80f0635dbfbp+6"),
+    (1.0, 1.0, 12.0, "0x1.0edd2939653ccp+39"),
+    (0.5, 0.3, 7.2, "0x1.0cc21601acc25p+5"),
+    (3.0, 2.0, 20.0, "0x1.49acf8e782c64p+105"),
+    (10.0, 1.0, 31.0, "0x1.1d71c83fa37fcp+161"),
+]
 
 
 class TestESeries:
@@ -31,6 +59,12 @@ class TestESeries:
         series = E_series(1.0, 29.0, 1e-10)
         assert series.converged
         assert abs(series.value - E_quadrature(1.0, 29.0, 1e-12)) <= 1e-10 * series.value
+
+    @pytest.mark.parametrize("x, z, value, terms, tail, converged", E_SERIES_PINNED)
+    def test_pinned_bits(self, x, z, value, terms, tail, converged):
+        result = E_series(x, z)
+        assert (result.value.hex(), result.terms_used) == (value, terms)
+        assert (result.tail_estimate.hex(), result.converged) == (tail, converged)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -112,6 +146,19 @@ class TestRho:
         scaled = rho(2.0, 1.0, 5.0, 1e-11, log_scaled=True)
         assert isinstance(scaled, LogScaled)
         assert scaled.to_float() == pytest.approx(plain, rel=1e-10)
+
+    @pytest.mark.parametrize("x, y, z, value", RHO_PINNED)
+    def test_pinned_bits(self, x, y, z, value):
+        assert rho(x, y, z).hex() == value
+
+    def test_certificate_is_relative_to_rho(self):
+        # E = 0.2577 carries an absolute tail of 3.77e-11, within tol for E,
+        # but 1.46e-10 relative to E and so to rho = x^z E (1.18e-10 off a
+        # 30-digit quadrature oracle)
+        with pytest.raises(ConvergenceError):
+            rho(23681.166079424744, 1.1231528383600349, 26.82961228779542, 1e-10)
+        with pytest.raises(ConvergenceError):
+            rho(23681.166079424744, 1.1231528383600349, 26.82961228779542, 1e-10, log_scaled=True)
 
     def test_domain(self):
         with pytest.raises(ValueError):
