@@ -38,7 +38,7 @@ EVAL_PARAMS = {
 
 TABLE_KINDS = ("stirling1", "stirling2", "rtilde", "stilde", "Stilde", "groupoid")
 
-GROUPOID_TABLE_MAX_N = 19  # keeps n - k within the composition budget
+GROUPOID_TABLE_MAX_N = 19  # part of the CLI contract; the cells themselves have no size limit
 
 
 def _real(value: float) -> str:

@@ -113,6 +113,21 @@ def stirling_lattice_oracle(n: int, k: int) -> int:
     return total
 
 
+def _compositions(n: int):
+    """All compositions of n >= 1 as lists of positive parts (2^(n-1) of them)."""
+    for mask in range(1 << (n - 1)):
+        parts = []
+        current = 1
+        for gap in range(n - 1):
+            if (mask >> gap) & 1:
+                parts.append(current)
+                current = 1
+            else:
+                current += 1
+        parts.append(current)
+        yield parts
+
+
 def simplex_volume(x, k: int):
     """vol of the ordered simplex 0 <= s_1 <= ... <= s_k <= x, i.e. x^k / k!."""
     if k < 0:

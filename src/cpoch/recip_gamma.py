@@ -27,6 +27,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .core import SeriesEval, zeta_hat
+from .discrete import _compositions
 
 __all__ = [
     "CoeffTable",
@@ -91,21 +92,6 @@ def c_table(n_max: int = DEFAULT_TERMS) -> CoeffTable:
         return CoeffTable(tuple(float(c) for c in coeffs))
 
 
-def _compositions(n: int):
-    """All compositions of n as tuples of positive parts (2^(n-1) of them)."""
-    for mask in range(1 << (n - 1)):
-        parts = []
-        current = 1
-        for gap in range(n - 1):
-            if (mask >> gap) & 1:
-                parts.append(current)
-                current = 1
-            else:
-                current += 1
-        parts.append(current)
-        yield parts
-
-
 def c_composition_oracle(n: int) -> float:
     """Independent value of c_n by explicit enumeration of compositions of n.
 
@@ -132,13 +118,7 @@ def c_of_x(n: int, x: float, table: CoeffTable | None = None) -> float:
         table = c_table()
     if n > table.order:
         raise ValueError(f"table holds {table.order + 1} coefficients, need n={n}")
-    lx = math.log(x)
-    term = 1.0
-    acc = [table[n]]
-    for k in range(1, n + 1):
-        term *= lx / k
-        acc.append(table[n - k] * term)
-    return math.fsum(acc)
+    return weighted_series_coeffs(x, table)[n]
 
 
 def recip_gamma_series(
@@ -177,8 +157,7 @@ def weighted_series_coeffs(x: float, table: CoeffTable | None = None) -> CoeffTa
     if x == 1.0:
         return table
     lx = math.log(x)
-    # One pass of the exponential-convolution recurrence is cheaper than
-    # calling c_of_x per order: c_n(x) = sum_k c_{n-k} lx^k / k!.
+    # c_n(x) = sum_k c_{n-k} lx^k / k!, all orders from one list of lx^k / k!.
     log_powers = [1.0]
     for k in range(1, len(table)):
         log_powers.append(log_powers[-1] * lx / k)

@@ -82,9 +82,10 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     integrated with the recentred representation
     x^t0 series(u) / ((u+1)...(u+t0)), whose series argument u stays in
     [0, 1].  The series values at the nodes are computed once and shared by
-    every full subinterval; a final partial one evaluates its own.  Agrees
-    with E_quadrature to ~1e-13 relative over the tested
-    domain (x <= 50, z <= 30).
+    every full subinterval; a final partial one evaluates its own.
+    ``terms_used`` adds the terms of every node series evaluated to the
+    head terms.  Agrees with E_quadrature to ~1e-13 relative over the
+    tested domain (x <= 50, z <= 30).
     """
     if x <= 0:
         raise ValueError(f"E_series requires x > 0, got {x}")
@@ -113,6 +114,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         # factor, in the order a fresh product takes, so the floats match it.
         full_u = [0.5 * (node + 1.0) for node in nodes]
         full_values = [_horner(coeffs, u) for u in full_u]
+        terms += _SEGMENT_RULE_NODES * len(coeffs)
         full_denoms = [(u + 1.0) * (u + 2.0) for u in full_u]
         t0 = 3
         while t0 < z:
@@ -123,6 +125,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
                 half = 0.5 * (z - t0)
                 part_u = [half * (node + 1.0) for node in nodes]
                 values = [_horner(coeffs, u) for u in part_u]
+                terms += _SEGMENT_RULE_NODES * len(coeffs)
                 denoms = [math.prod(u + j for j in range(1, t0 + 1)) for u in part_u]
             segment = 0.0
             for weight, value, denom in zip(weights, values, denoms):
@@ -130,7 +133,6 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
             seg_value = x**t0 * segment * half
             total += seg_value
             floor += _EPS * (abs(seg_value) + 1.0) * 8.0
-            terms += _SEGMENT_RULE_NODES * len(coeffs)
             t0 += 1
     tail = trunc + floor
     converged = tail <= tol * max(1.0, abs(total))

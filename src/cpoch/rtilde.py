@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import LOG_FLOAT_MAX, LogScaled, SeriesEval
+from .discrete import _compositions
 from .gammafns import e_partial_sum, log_e_partial
 from .quadrature import gauss_hermite
 
@@ -41,7 +42,6 @@ __all__ = [
 
 RTILDE_MAX_N = 48
 MOBIUS_ORACLE_MAX_N = 12
-COMPOSITION_BUDGET = 18  # groupoid sums enumerate 2^(n-k-1) compositions
 
 _EPS = 2.220446049250313e-16
 _MAX_TERMS = 4000
@@ -113,8 +113,8 @@ def stilde_mobius_oracle(n: int, k: int) -> Fraction:
     """St_{n,k} by the alternating chain sum (Moebius inversion), exactly.
 
     Sums (-1)^l st_{i_l,i_{l-1}} ... st_{i_1,i_0} over all chains
-    k = i_0 < i_1 < ... < i_l = n; the 2^(n-k-1) interior subsets bound the
-    budget.  St_{n,n} = 1 by the empty-chain convention.
+    k = i_0 < i_1 < ... < i_l = n, whose steps are the 2^(n-k-1)
+    compositions of n - k.  St_{n,n} = 1 by the empty-chain convention.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got n={n}, k={k}")
@@ -122,19 +122,14 @@ def stilde_mobius_oracle(n: int, k: int) -> Fraction:
         raise ValueError(f"chain oracle limited to n <= {MOBIUS_ORACLE_MAX_N}")
     if k == n:
         return Fraction(1)
-
-    def stilde(i: int, j: int) -> Fraction:
-        return (-1) ** (i - j) * rtilde_coefficient(i, j)
-
-    interior = list(range(k + 1, n))
     total = Fraction(0)
-    for mask in range(1 << len(interior)):
-        chain = [k] + [p for b, p in enumerate(interior) if (mask >> b) & 1] + [n]
-        l = len(chain) - 1
+    for steps in _compositions(n - k):
         prod = Fraction(1)
-        for a, b in zip(chain, chain[1:]):
-            prod *= stilde(b, a)
-        total += (-1) ** l * prod
+        lower = k
+        for step in steps:
+            prod *= (-1) ** step * rtilde_coefficient(lower + step, lower)
+            lower += step
+        total += (-1) ** len(steps) * prod
     return total
 
 
@@ -151,49 +146,31 @@ def groupoid_cardinalities(n: int, k: int) -> GroupoidCardinalities:
     """Cardinalities of the weighted-map groupoids behind rt and St.
 
     |G_{n,k}| has the closed form of rt_{n,k}; the even/odd refinements sum
-    multinomially weighted composition terms of n - k:
+    multinomially weighted composition terms of m = n - k:
 
-        sum over (a_1..a_l) of binom(n-k; a_1..a_l)
-            prod_i (a_1+...+a_i+k-1)^(2 a_i) / (2^(n-k) (n-k)!)
+        sum over (a_1..a_l) of binom(m; a_1..a_l)
+            prod_i (a_1+...+a_i+k-1)^(2 a_i) / (2^m m!)
 
-    restricted to even (respectively odd) part counts l.
+    restricted to even (respectively odd) part counts l.  Splitting off the
+    last part a gives the integer recurrence G[0] = (1, 0),
+
+        G[p][parity] = sum_{a=1..p} binom(p, a) (p+k-1)^(2a) G[p-a][1-parity],
+
+    and |G^e|, |G^o| = G[m][0], G[m][1] over 2^m m!; the n = k cell is (0, 0).
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got n={n}, k={k}")
     m = n - k
-    if m > COMPOSITION_BUDGET:
-        raise ValueError(f"composition enumeration limited to n - k <= {COMPOSITION_BUDGET}")
     g = rtilde_coefficient(n, k)
     if m == 0:
-        # no compositions of 0 with l >= 1 positive parts
         return GroupoidCardinalities(g, Fraction(0), Fraction(0))
+    even, odd = [1], [0]
+    for p in range(1, m + 1):
+        weights = [math.comb(p, a) * (p + k - 1) ** (2 * a) for a in range(1, p + 1)]
+        even.append(sum(w * odd[p - a] for a, w in enumerate(weights, 1)))
+        odd.append(sum(w * even[p - a] for a, w in enumerate(weights, 1)))
     denom = 2**m * math.factorial(m)
-    even = 0
-    odd = 0
-    m_fact = math.factorial(m)
-    for mask in range(1 << (m - 1)):
-        parts = []
-        current = 1
-        for gap in range(m - 1):
-            if (mask >> gap) & 1:
-                parts.append(current)
-                current = 1
-            else:
-                current += 1
-        parts.append(current)
-        multinomial = m_fact
-        weight = 1
-        prefix = k - 1
-        for a in parts:
-            multinomial //= math.factorial(a)
-            prefix += a
-            weight *= prefix ** (2 * a)
-        term = multinomial * weight
-        if len(parts) % 2 == 0:
-            even += term
-        else:
-            odd += term
-    return GroupoidCardinalities(g, Fraction(even, denom), Fraction(odd, denom))
+    return GroupoidCardinalities(g, Fraction(even[m], denom), Fraction(odd[m], denom))
 
 
 def _promote(log_value: float, sign: int, log_scaled: bool) -> float | LogScaled:

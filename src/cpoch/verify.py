@@ -32,6 +32,7 @@ import mpmath as mp
 
 from .core import EULER_GAMMA
 from .discrete import (
+    _compositions,
     pochhammer_discrete,
     power_sum_pair,
     geometric_sum_pair,
@@ -210,6 +211,19 @@ def _rho_oracle(x: float, y: float, z: float) -> float:
     with mp.workdps(ORACLE_DPS):
         x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
         return float(x**z * _E_oracle(y * (z - 1) ** 2 / (2 * x), z - 1))
+
+
+def _groupoid_oracle(n: int, k: int) -> tuple[Fraction, ...]:
+    """(|G^e|, |G^o|) by summing every composition of n - k term by term."""
+    m = n - k
+    sums = [0, 0]
+    for parts in _compositions(m) if m else ():
+        term, prefix = math.factorial(m), k - 1
+        for a in parts:
+            prefix += a
+            term = term // math.factorial(a) * prefix ** (2 * a)
+        sums[len(parts) % 2] += term
+    return tuple(Fraction(s, 2**m * math.factorial(m)) for s in sums)
 
 
 # ----------------------------------------------------------------- kernel
@@ -485,7 +499,7 @@ def _suite_analogue1(tol_scale: float) -> list[CaseResult]:
         col.holds(f"asymptote_trend_{kind}", {"points": 3},
                   ok, f"log devs {[f'{d:.3e}' for d in devs]}")
 
-    tri = rtilde_triangle(12)
+    tri = rtilde_triangle(25)
     ok = all(
         sum(tri.s(n, l) * tri.S(l, k) for l in range(k, n + 1))
         == sum(tri.S(n, l) * tri.s(l, k) for l in range(k, n + 1))
@@ -503,18 +517,26 @@ def _suite_analogue1(tol_scale: float) -> list[CaseResult]:
     col.holds("mobius_chain_oracle", {"n": "1..12"}, ok)
 
     ok = True
-    for n in range(1, 11):
+    for n in range(1, 26):
         for k in range(1, n + 1):
             cards = groupoid_cardinalities(n, k)
             if cards.g != tri.r(n, k):
                 ok = False
             if n > k and (-1) ** (n - k) * (cards.g_even - cards.g_odd) != tri.S(n, k):
                 ok = False
-    col.holds("groupoid_identity", {"n": "1..10"}, ok)
+    col.holds("groupoid_identity", {"n": "1..25"}, ok)
+
+    ok = True
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            cards = groupoid_cardinalities(n, k)
+            if (cards.g_even, cards.g_odd) != _groupoid_oracle(n, k):
+                ok = False
+    col.holds("groupoid_vs_composition_oracle", {"n": "1..12"}, ok)
 
     # |G^e| + |G^o| <= (n-1)^(2(n-k)) S_{n-k}(n-k) / (2^(n-k) (n-k)!)
     ok = True
-    for n in range(2, 11):
+    for n in range(2, 26):
         for k in range(1, n):
             m = n - k
             cards = groupoid_cardinalities(n, k)
@@ -522,7 +544,7 @@ def _suite_analogue1(tol_scale: float) -> list[CaseResult]:
                              2**m * math.factorial(m))
             if cards.g_even + cards.g_odd > bound:
                 ok = False
-    col.holds("composition_sum_bound", {"n": "2..10"}, ok)
+    col.holds("composition_sum_bound", {"n": "2..25"}, ok)
 
     worst = 0.0
     for n in range(1, 13):

@@ -95,9 +95,8 @@ class TestGroupoids:
     def test_composition_sum_bound(self, verify_cases):
         verify_cases.check("analogue1/composition_sum_bound")
 
-    def test_budget_guard(self):
-        with pytest.raises(ValueError):
-            groupoid_cardinalities(25, 2)
+    def test_recurrence_matches_composition_oracle(self, verify_cases):
+        verify_cases.check("analogue1/groupoid_vs_composition_oracle")
 
 
 class TestEvaluations:
