@@ -88,7 +88,7 @@ def stirling_triangle(kind: str, max_n: int) -> StirlingTriangle:
         rows.append(tuple(row))
     if kind == "first_signed":
         rows = [
-            tuple((-1) ** (n - k) * v for k, v in enumerate(row))
+            tuple(-v if (n - k) & 1 else v for k, v in enumerate(row))
             for n, row in enumerate(rows)
         ]
     return StirlingTriangle(kind, max_n, tuple(rows))

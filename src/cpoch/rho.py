@@ -113,10 +113,11 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         # Each full segment's (u+1)...(u+t0) extends the previous one by a
         # factor, in the order a fresh product takes, so the floats match it.
         full_u = [0.5 * (node + 1.0) for node in nodes]
-        full_values = [_horner(coeffs, u) for u in full_u]
-        terms += _SEGMENT_RULE_NODES * len(coeffs)
         full_denoms = [(u + 1.0) * (u + 2.0) for u in full_u]
         t0 = 3
+        if z - t0 >= 1.0:  # a full segment runs; below z = 4 only the partial one does
+            full_values = [_horner(coeffs, u) for u in full_u]
+            terms += _SEGMENT_RULE_NODES * len(coeffs)
         while t0 < z:
             if z - t0 >= 1.0:
                 full_denoms = [d * (u + t0) for d, u in zip(full_denoms, full_u)]

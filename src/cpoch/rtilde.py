@@ -11,6 +11,11 @@ order variable through the regularized incomplete gamma.  The signed
 companions st_{n,k} = (-1)^(n-k) rt_{n,k} invert to exact rational
 analogues St_{n,k} of the second-kind Stirling numbers, whose values are
 signed differences of groupoid cardinalities.
+
+One integer recurrence per column k (``_groupoid_prefix``) yields both: the
+groupoid cardinalities of the cells (k+p, k) and, through their signed
+difference, the St column.  The exact forward substitution against st is
+the independent oracle for both, in ``cpoch.verify``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import LOG_FLOAT_MAX, LogScaled, SeriesEval
 from .discrete import _compositions
@@ -45,6 +51,10 @@ MOBIUS_ORACLE_MAX_N = 12
 
 _EPS = 2.220446049250313e-16
 _MAX_TERMS = 4000
+
+#: Orders n whose coefficient rows rtilde_poly keeps; every order of the
+#: exact tables (n <= RTILDE_MAX_N) fits, so a sweep over them builds each once.
+_POLY_ROW_CACHE_SIZE = 64
 
 
 def rtilde_coefficient(n: int, k: int) -> Fraction:
@@ -80,12 +90,44 @@ class RTildeTriangle:
         return self.S_rows[n][k] if 0 <= k <= n else Fraction(0)
 
 
+def _groupoid_prefix(k: int, m: int) -> tuple[list[int], list[int]]:
+    """Integer groupoid numerators even[0..m], odd[0..m] of column k >= 1.
+
+    Splitting the last part a off a composition of p gives G[0] = (1, 0) and
+
+        G[p][parity] = sum_{a=1..p} binom(p, a) (p+k-1)^(2a) G[p-a][1-parity],
+
+    so even[p], odd[p] = G[p][0], G[p][1].  Over 2^p p! they are |G^e| and
+    |G^o| of the cell (k+p, k), and their signed difference is St_{k+p,k}.
+    Each sum is a polynomial in (p+k-1)^2, evaluated by Horner's rule.
+    """
+    even, odd = [1], [0]
+    for p in range(1, m + 1):
+        square = (p + k - 1) ** 2
+        e = o = 0
+        for a in range(p, 0, -1):
+            weight = math.comb(p, a)
+            e = (e + weight * odd[p - a]) * square
+            o = (o + weight * even[p - a]) * square
+        even.append(e)
+        odd.append(o)
+    return even, odd
+
+
 def rtilde_triangle(max_n: int) -> RTildeTriangle:
     """Build the exact rt/st/St triangles up to row max_n.
 
-    St is obtained by exact forward substitution against the unit lower
-    triangular st matrix: St_{n,n} = 1 and for n > k
-    St_{n,k} = -sum_{k<=l<n} st_{n,l} St_{l,k}.
+    St inverts the unit lower triangular st.  Written for column k >= 1 with
+    St_{k+p,k} = (-1)^p D[p] / (2^p p!), the inversion sum_l st_{n,l} St_{l,k}
+    = delta_{n,k} is the recurrence D[p] = -sum_{a=1..p} binom(p, a)
+    (p+k-1)^(2a) D[p-a], D[0] = 1, which D = even - odd of
+    ``_groupoid_prefix`` satisfies; so one run of it per column gives
+
+        St_{k+p,k} = (-1)^p (even[p] - odd[p]) / (2^p p!).
+
+    Column 0 is the unit vector, since st_{n,0} = 0 for n >= 1.  The exact
+    forward substitution St_{n,k} = -sum_{k<=l<n} st_{n,l} St_{l,k} is the
+    independent oracle ``cpoch.verify._stilde_forward_oracle``.
     """
     if not 0 <= max_n <= RTILDE_MAX_N:
         raise ValueError(f"max_n must lie in [0, {RTILDE_MAX_N}], got {max_n}")
@@ -93,20 +135,16 @@ def rtilde_triangle(max_n: int) -> RTildeTriangle:
         tuple(rtilde_coefficient(n, k) for k in range(n + 1)) for n in range(max_n + 1)
     )
     s_rows = tuple(
-        tuple((-1) ** (n - k) * v for k, v in enumerate(row))
+        tuple(-v if (n - k) & 1 else v for k, v in enumerate(row))
         for n, row in enumerate(r_rows)
     )
-    S_rows: list[tuple[Fraction, ...]] = []
-    for n in range(max_n + 1):
-        row = [Fraction(0)] * (n + 1)
-        row[n] = Fraction(1)
-        for k in range(n - 1, -1, -1):
-            row[k] = -sum(
-                (s_rows[n][l] * S_rows[l][k] for l in range(k, n)), Fraction(0)
-            )
-        # row[0]: St_{n,0} = 0 for n >= 1 because st_{l,0} = 0 there.
-        S_rows.append(tuple(row))
-    return RTildeTriangle(max_n, r_rows, s_rows, tuple(S_rows))
+    S_rows = [[Fraction(0)] * (n + 1) for n in range(max_n + 1)]
+    S_rows[0][0] = Fraction(1)
+    for k in range(1, max_n + 1):
+        even, odd = _groupoid_prefix(k, max_n - k)
+        for p, (e, o) in enumerate(zip(even, odd)):
+            S_rows[k + p][k] = Fraction(o - e if p & 1 else e - o, 2**p * math.factorial(p))
+    return RTildeTriangle(max_n, r_rows, s_rows, tuple(map(tuple, S_rows)))
 
 
 def stilde_mobius_oracle(n: int, k: int) -> Fraction:
@@ -151,12 +189,10 @@ def groupoid_cardinalities(n: int, k: int) -> GroupoidCardinalities:
         sum over (a_1..a_l) of binom(m; a_1..a_l)
             prod_i (a_1+...+a_i+k-1)^(2 a_i) / (2^m m!)
 
-    restricted to even (respectively odd) part counts l.  Splitting off the
-    last part a gives the integer recurrence G[0] = (1, 0),
-
-        G[p][parity] = sum_{a=1..p} binom(p, a) (p+k-1)^(2a) G[p-a][1-parity],
-
-    and |G^e|, |G^o| = G[m][0], G[m][1] over 2^m m!; the n = k cell is (0, 0).
+    restricted to even (respectively odd) part counts l.  They are entry m
+    of the integer recurrence ``_groupoid_prefix`` over 2^m m!, the same
+    recurrence that builds St in ``rtilde_triangle``; the n = k cell is
+    (0, 0).
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got n={n}, k={k}")
@@ -164,11 +200,7 @@ def groupoid_cardinalities(n: int, k: int) -> GroupoidCardinalities:
     g = rtilde_coefficient(n, k)
     if m == 0:
         return GroupoidCardinalities(g, Fraction(0), Fraction(0))
-    even, odd = [1], [0]
-    for p in range(1, m + 1):
-        weights = [math.comb(p, a) * (p + k - 1) ** (2 * a) for a in range(1, p + 1)]
-        even.append(sum(w * odd[p - a] for a, w in enumerate(weights, 1)))
-        odd.append(sum(w * even[p - a] for a, w in enumerate(weights, 1)))
+    even, odd = _groupoid_prefix(k, m)
     denom = 2**m * math.factorial(m)
     return GroupoidCardinalities(g, Fraction(even[m], denom), Fraction(odd[m], denom))
 
@@ -179,31 +211,51 @@ def _promote(log_value: float, sign: int, log_scaled: bool) -> float | LogScaled
     return sign * math.exp(log_value)
 
 
-def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float | LogScaled:
-    """Evaluate the coefficient polynomial sum_k rt_{n,k} x^k y^(n-k)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not log_scaled:
-        total = 0.0
-        for k in range(n + 1):
-            coeff = rtilde_coefficient(n, k)
-            if coeff:
-                total += float(coeff) * x**k * y ** (n - k)
-        return total
-    acc = LogScaled(0, float("-inf"))
-    lx = LogScaled.from_float(x)
-    ly = LogScaled.from_float(y)
+@lru_cache(maxsize=_POLY_ROW_CACHE_SIZE)
+def _poly_row(n: int) -> tuple[tuple[int, float | None, float], ...]:
+    """(k, float(rt_{n,k}), ln rt_{n,k}) for every k with rt_{n,k} != 0.
+
+    The float is None where rt_{n,k} exceeds the binary64 range.
+    """
+    row = []
     for k in range(n + 1):
         coeff = rtilde_coefficient(n, k)
         if not coeff:
             continue
-        c = LogScaled(1, math.log(coeff.numerator) - math.log(coeff.denominator))
-        term = c
+        try:
+            value = float(coeff)
+        except OverflowError:
+            value = None
+        row.append((k, value, math.log(coeff.numerator) - math.log(coeff.denominator)))
+    return tuple(row)
+
+
+def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float | LogScaled:
+    """Evaluate the coefficient polynomial sum_k rt_{n,k} x^k y^(n-k)."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    row = _poly_row(n)
+    if not log_scaled:
+        total = 0.0
+        for k, coeff, _ in row:
+            if coeff is None:
+                raise OverflowError(f"rt_{{{n},{k}}} exceeds the binary64 range")
+            total += coeff * x**k * y ** (n - k)
+        return total
+    acc = LogScaled(0, float("-inf"))
+    lx = LogScaled.from_float(x)
+    ly = LogScaled.from_float(y)
+    for k, _, log_coeff in row:
+        # the products LogScaled multiplication would form, in its order
+        sign, log_term = 1, log_coeff
         if k:
-            term = term * LogScaled(lx.sign**k, k * lx.log_magnitude)
+            sign *= lx.sign**k
+            log_term += k * lx.log_magnitude
         if n - k:
-            term = term * LogScaled(ly.sign ** (n - k), (n - k) * ly.log_magnitude)
-        acc = acc + term
+            sign *= ly.sign ** (n - k)
+            log_term += (n - k) * ly.log_magnitude
+        if sign:  # a zero term leaves the sum as it is
+            acc = acc + LogScaled(sign, log_term)
     return acc
 
 

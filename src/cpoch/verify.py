@@ -59,9 +59,11 @@ from .recip_gamma import (
 )
 from .rho import E_deriv_z, E_quadrature, E_series, _mu_integrand, mu_function, nu, rho
 from .rtilde import (
+    RTILDE_MAX_N,
     gaussian_expectation,
     groupoid_cardinalities,
     rtilde_closed,
+    rtilde_coefficient,
     rtilde_ext,
     rtilde_series_lower,
     rtilde_series_upper,
@@ -224,6 +226,26 @@ def _groupoid_oracle(n: int, k: int) -> tuple[Fraction, ...]:
             term = term // math.factorial(a) * prefix ** (2 * a)
         sums[len(parts) % 2] += term
     return tuple(Fraction(s, 2**m * math.factorial(m)) for s in sums)
+
+
+def _stilde_forward_oracle(max_n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """St rows 0..max_n by exact forward substitution against st.
+
+    st = (-1)^(n-k) rt is unit lower triangular, so its inverse has
+    St_{n,n} = 1 and St_{n,k} = -sum_{k<=l<n} st_{n,l} St_{l,k} for n > k.
+    O(max_n^3) Fraction products, independent of the groupoid recurrence
+    that ``rtilde_triangle`` builds St from.
+    """
+    st = [[(-1) ** (n - l) * rtilde_coefficient(n, l) for l in range(n + 1)]
+          for n in range(max_n + 1)]
+    rows: list[tuple[Fraction, ...]] = []
+    for n in range(max_n + 1):
+        row = [Fraction(0)] * (n + 1)
+        row[n] = Fraction(1)
+        for k in range(n - 1, -1, -1):
+            row[k] = -sum((st[n][l] * rows[l][k] for l in range(k, n)), Fraction(0))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ----------------------------------------------------------------- kernel
@@ -499,7 +521,11 @@ def _suite_analogue1(tol_scale: float) -> list[CaseResult]:
         col.holds(f"asymptote_trend_{kind}", {"points": 3},
                   ok, f"log devs {[f'{d:.3e}' for d in devs]}")
 
-    tri = rtilde_triangle(25)
+    tri = rtilde_triangle(RTILDE_MAX_N)
+    forward = _stilde_forward_oracle(RTILDE_MAX_N)
+    col.holds("st_vs_forward_substitution", {"n": f"0..{RTILDE_MAX_N}"},
+              tri.S_rows == forward)
+
     ok = all(
         sum(tri.s(n, l) * tri.S(l, k) for l in range(k, n + 1))
         == sum(tri.S(n, l) * tri.s(l, k) for l in range(k, n + 1))
@@ -522,7 +548,7 @@ def _suite_analogue1(tol_scale: float) -> list[CaseResult]:
             cards = groupoid_cardinalities(n, k)
             if cards.g != tri.r(n, k):
                 ok = False
-            if n > k and (-1) ** (n - k) * (cards.g_even - cards.g_odd) != tri.S(n, k):
+            if n > k and (-1) ** (n - k) * (cards.g_even - cards.g_odd) != forward[n][k]:
                 ok = False
     col.holds("groupoid_identity", {"n": "1..25"}, ok)
 

@@ -105,8 +105,8 @@ def test_criterion_09_E_consistency(verify_cases):
 def test_criterion_10_exact_inversion_suite(verify_cases):
     _accept(
         verify_cases, "10", "exact inversion suite", "analogue1/exact_inversion",
-        "analogue1/mobius_chain_oracle", "analogue1/groupoid_identity",
-        "analogue1/composition_sum_bound",
+        "analogue1/st_vs_forward_substitution", "analogue1/mobius_chain_oracle",
+        "analogue1/groupoid_identity", "analogue1/composition_sum_bound",
     )
 
 

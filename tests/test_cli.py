@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,21 @@ class TestTable:
         assert runner.invoke(main, ["table", "stirling1", "--max-n", "65"]).exit_code == 2
         assert runner.invoke(main, ["table", "rtilde", "--max-n", "49"]).exit_code == 2
         assert runner.invoke(main, ["table", "groupoid", "--max-n", "20"]).exit_code == 2
+
+    # sha256 of the stdout, recorded while St still came from the O(n^3)
+    # Fraction forward substitution
+    @pytest.mark.parametrize("kind, fmt, digest", [
+        ("rtilde", "csv", "c7dcfdd77e48161fa63507074e9de36663ce2aa411f05a0e678568f85091bb04"),
+        ("rtilde", "json", "b14d35b05c607dbee21af78b06c4ebab41aa715c5f297c5a928a917660fd7156"),
+        ("stilde", "csv", "9ab7157de95aac53b41f830f7418ac71df40a296f5ad8dd9a84ab598b4df2fb1"),
+        ("stilde", "json", "68517d4f6d68278b404107018e99ee6f02b33856838adc41dd41841ac55d4451"),
+        ("Stilde", "csv", "6bea9b0b330139862fa5c9a1abb799266d140e9967e83d4bb2b412cb40b7d021"),
+        ("Stilde", "json", "560bb37139cc46370025fa6990a317004f707ebd58ee06b5ea98c9820e019c9e"),
+    ])
+    def test_largest_rtilde_tables_pinned(self, runner, kind, fmt, digest):
+        result = runner.invoke(main, ["table", kind, "--max-n", "48", "--format", fmt])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     def test_determinism(self, runner):
         a = runner.invoke(main, ["table", "rtilde", "--max-n", "8", "--format", "json"])

@@ -23,7 +23,7 @@ E_SERIES_PINNED = [
     (0.3, 1.7, "0x1.80e7c019a8814p-1", 111, "0x1.d3caa70029224p-49", True),
     (2.0, 3.0, "0x1.55a924232272bp+2", 111, "0x1.87fba95e40c3ap-47", True),
     (1.0, 2.5, "0x1.046a669f7ef3cp+1", 111, "0x1.b54086325f5c1p-48", True),
-    (120.0, 3.4, "0x1.42c1e5d7dcf81p+18", 5439, "0x1.ff6303446cf5dp-32", True),
+    (120.0, 3.4, "0x1.42c1e5d7dcf81p+18", 2775, "0x1.ff6303446cf5dp-32", True),
     (7.5, 4.0, "0x1.4de2b1140c469p+7", 2775, "0x1.f28cc0b6d2a39p-43", True),
     (0.05, 12.0, "0x1.6c5823c422bc4p-2", 2775, "0x1.722e7ad10b34dp-39", True),
     (1.0, 10.0, "0x1.221dcc8942622p+1", 2775, "0x1.e6c47a058a922p-46", True),

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cpoch.core import LogScaled
 from cpoch.gammafns import e_partial_sum
 from cpoch.rtilde import (
+    _POLY_ROW_CACHE_SIZE,
+    _poly_row,
     cosh_truncated,
     gaussian_expectation,
     groupoid_cardinalities,
@@ -20,6 +22,23 @@ from cpoch.rtilde import (
     rtilde_triangle,
     stilde_mobius_oracle,
 )
+
+# rtilde_poly bits recorded while it still rebuilt every Fraction per call:
+# (x, y, n, plain float.hex, log-scaled sign, log-scaled log_magnitude.hex)
+POLY_PINNED = [
+    (1.5, 0.75, 0, "0x1.0000000000000p+0", 1, "0x0.0p+0"),
+    (1.5, 0.75, 1, "0x1.8000000000000p+0", 1, "0x1.9f323ecbf984cp-2"),
+    (1.5, 0.75, 2, "0x1.6800000000000p+1", 1, "0x1.08b90ef531f6ap+0"),
+    (1.5, 0.75, 17, "0x1.125514857d7b0p+62", 1, "0x1.585ab3b26e2cdp+5"),
+    (1.5, 0.75, 47, "0x1.f99be3ff5bac6p+251", 1, "0x1.5d5230c7d14c6p+7"),
+    (1.5, 0.75, 48, "0x1.f681ffc9fe215p+258", 1, "0x1.670347b07369ap+7"),
+    (0.25, 4.0, 0, "0x1.0000000000000p+0", 1, "0x0.0p+0"),
+    (0.25, 4.0, 1, "0x1.0000000000000p-2", 1, "-0x1.62e42fefa39efp+0"),
+    (0.25, 4.0, 2, "0x1.2000000000000p-1", 1, "-0x1.269621134db92p-1"),
+    (0.25, 4.0, 17, "0x1.b1e2966879174p+97", 1, "0x1.0f0d301c4dd04p+6"),
+    (0.25, 4.0, 47, "0x1.48ec35d3eddffp+360", 1, "0x1.f39137fe1c00fp+7"),
+    (0.25, 4.0, 48, "0x1.b4b9d67481594p+369", 1, "0x1.004e312f8c51ep+8"),
+]
 
 
 class TestCoefficients:
@@ -56,6 +75,9 @@ class TestTriangles:
 
     def test_exact_inversion_both_orders(self, verify_cases):
         verify_cases.check("analogue1/exact_inversion")
+
+    def test_recurrence_matches_forward_substitution(self, verify_cases):
+        verify_cases.check("analogue1/st_vs_forward_substitution")
 
     def test_mobius_oracle_matches_inversion(self, verify_cases):
         verify_cases.check("analogue1/mobius_chain_oracle")
@@ -106,6 +128,31 @@ class TestEvaluations:
             assert rtilde_poly(x, y, 1) == x
         assert rtilde_poly(2.2, 0.0, 4) == pytest.approx(2.2**4, rel=1e-14)
         assert rtilde_poly(0.0, 3.0, 5) == 0.0
+
+    @pytest.mark.parametrize("x, y, n, plain, sign, log_magnitude", POLY_PINNED)
+    def test_poly_pinned_bits(self, x, y, n, plain, sign, log_magnitude):
+        assert rtilde_poly(x, y, n).hex() == plain
+        scaled = rtilde_poly(x, y, n, log_scaled=True)
+        assert (scaled.sign, scaled.log_magnitude.hex()) == (sign, log_magnitude)
+
+    def test_poly_row_cache_is_bounded_and_exact(self):
+        _poly_row.cache_clear()
+        for n in range(_POLY_ROW_CACHE_SIZE + 8):
+            nonzero = [k for k in range(n + 1) if rtilde_coefficient(n, k)]
+            assert [k for k, _, _ in _poly_row(n)] == nonzero
+            for k, value, log_value in _poly_row(n):
+                coeff = rtilde_coefficient(n, k)
+                assert value == float(coeff)
+                assert log_value == math.log(coeff.numerator) - math.log(coeff.denominator)
+        info = _poly_row.cache_info()
+        assert info.maxsize == info.currsize == _POLY_ROW_CACHE_SIZE
+
+    def test_poly_beyond_binary64_coefficients(self):
+        # rt_{200,1} overflows a float: the plain form raises, the log form sums
+        with pytest.raises(OverflowError):
+            rtilde_poly(1.1, 0.9, 200)
+        scaled = rtilde_poly(1.1, 0.9, 200, log_scaled=True)
+        assert scaled.sign == 1 and math.isfinite(scaled.log_magnitude)
 
     def test_small_values(self):
         assert rtilde_poly(1.0, 1.0, 3) == 5.0

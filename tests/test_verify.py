@@ -1,13 +1,16 @@
-"""The oracle-judged ``*_as_stated`` cases of ``cpoch.verify`` catch a wrong program.
+"""Oracle-judged cases of ``cpoch.verify`` catch a wrong program.
 
-A correct program passes all three; a program whose E or rho is off fails
-them, although the published bounds are refuted either way.
+A correct program passes the three ``*_as_stated`` cases; a program whose E
+or rho is off fails them, although the published bounds are refuted either
+way.  A wrong groupoid recurrence, which now also builds St, fails the cases
+that judge it against the forward-substitution oracle.
 """
 
 from dataclasses import replace
 
 import pytest
 
+import cpoch.rtilde
 import cpoch.verify
 from cpoch.verify import run_suite
 
@@ -42,3 +45,18 @@ def test_rho_error_fails_rho_envelope_case(monkeypatch):
     exact = cpoch.verify.rho
     monkeypatch.setattr(cpoch.verify, "rho", lambda *args: 0.7 * exact(*args))
     assert not _analogue2_verdicts()["rho_envelope_as_stated"]
+
+
+def test_groupoid_recurrence_error_fails_oracle_cases(monkeypatch):
+    exact = cpoch.rtilde._groupoid_prefix
+
+    def off(k, m):
+        even, odd = exact(k, m)
+        if m >= 2:
+            even[2] += 1
+        return even, odd
+
+    monkeypatch.setattr(cpoch.rtilde, "_groupoid_prefix", off)
+    verdicts = {c.case_id: c.passed for c in run_suite("analogue1").cases}
+    assert not verdicts["groupoid_identity"]
+    assert not verdicts["st_vs_forward_substitution"]
