@@ -14,7 +14,7 @@ from cpoch.gammafns import gamma_minimum
 from cpoch.recip_gamma import c_composition_oracle, c_table
 from cpoch.rtilde import rtilde_triangle
 
-table = c_table(80)
+table = c_table()
 print("coefficient decay of 1/Gamma(t+1) = sum c_n t^n")
 print(" n     c_n              |c_n| * 3^n")
 for n in (0, 1, 2, 5, 10, 15, 20, 30, 40, 60, 80):

@@ -12,14 +12,12 @@ classical nu / mu transcendents.
 from .core import (
     EULER_GAMMA,
     ConvergenceError,
-    ExactRational,
     LogScaled,
     SeriesEval,
     zeta,
     zeta_hat,
 )
 from .discrete import (
-    AnaloguePair,
     StirlingTriangle,
     geometric_sum_pair,
     pochhammer_discrete,
@@ -48,9 +46,7 @@ from .quadrature import (
     integrate_simplex,
 )
 from .recip_gamma import (
-    CoeffTable,
     c_composition_oracle,
-    c_of_x,
     c_table,
     recip_gamma_series,
     weighted_series_coeffs,

@@ -9,6 +9,7 @@ bytes.  Reals print with 17 significant digits; exact rationals print as
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -128,6 +129,9 @@ def eval_command(target, x, y, z, alpha, beta, tol, log_scaled, fmt):
     if isinstance(result, SeriesEval):
         converged = result.converged
         result = result.value
+    if isinstance(result, float) and not math.isfinite(result):
+        click.echo(f"numerical failure in {target}: result is {result}", err=True)
+        sys.exit(3)
     if log_scaled and not isinstance(result, LogScaled):
         result = LogScaled.from_float(float(result))
 

@@ -2,8 +2,9 @@
 
 Everything downstream builds on three carriers:
 
-* ``ExactRational`` -- arbitrary-precision rationals for the combinatorial
-  coefficient triangles (all of which are rational numbers).
+* ``fractions.Fraction`` -- arbitrary-precision rationals, gcd-reduced
+  after every operation, for the combinatorial coefficient triangles (all
+  of which are rational numbers).
 * ``LogScaled`` -- a (sign, log-magnitude) pair for quantities such as
   ``(n-1)**(2*n)`` that overflow binary64 long before the mathematics
   becomes uninteresting.
@@ -17,11 +18,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "ExactRational",
     "LogScaled",
     "SeriesEval",
     "ConvergenceError",
@@ -29,11 +28,6 @@ __all__ = [
     "zeta",
     "zeta_hat",
 ]
-
-# fractions.Fraction already guarantees denominator > 0 and gcd-reduction
-# after every arithmetic operation, which is exactly the contract the exact
-# triangles need; big integers are native.
-ExactRational = Fraction
 
 #: Euler-Mascheroni constant, 20 significant digits (the limit definition
 #: converges far too slowly to be computed at runtime).

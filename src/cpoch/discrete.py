@@ -15,7 +15,6 @@ from itertools import combinations
 
 __all__ = [
     "StirlingTriangle",
-    "AnaloguePair",
     "pochhammer_discrete",
     "stirling_triangle",
     "stirling_lattice_oracle",
@@ -150,31 +149,19 @@ def simplex_moment(x, k: int):
     return x ** (2 * k) / (2**k * math.factorial(k))
 
 
-@dataclass(frozen=True)
-class AnaloguePair:
-    """A discrete sum next to its continuous (integral) analogue."""
-
-    discrete: object
-    continuous: float
-
-    @property
-    def ratio(self) -> float:
-        return float(self.discrete) / self.continuous
-
-
-def power_sum_pair(n: int, k: int) -> AnaloguePair:
-    """S_k(n) = 1^k + ... + n^k next to the integral analogue n^(k+1)/(k+1)."""
+def power_sum_pair(n: int, k: int) -> tuple[int, float]:
+    """(discrete, continuous): S_k(n) = 1^k + ... + n^k and its analogue n^(k+1)/(k+1)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     discrete = sum(l**k for l in range(1, n + 1))
     continuous = float(n) ** (k + 1) / (k + 1)
-    return AnaloguePair(discrete, continuous)
+    return discrete, continuous
 
 
-def geometric_sum_pair(x: float, y: float) -> AnaloguePair:
-    """Geometric sum (x^(y+1)-1)/(x-1) next to its integral analogue (x^y-1)/ln x.
+def geometric_sum_pair(x: float, y: float) -> tuple[float, float]:
+    """(discrete, continuous): geometric sum (x^(y+1)-1)/(x-1), analogue (x^y-1)/ln x.
 
     At integer y the discrete side is 1 + x + ... + x^y.  The analogue has a
     removable singularity at x = 1 (limit value y); that point is rejected.
@@ -185,4 +172,4 @@ def geometric_sum_pair(x: float, y: float) -> AnaloguePair:
         raise ValueError("x = 1 is the removable singularity; the limit value is y")
     discrete = (x ** (y + 1) - 1.0) / (x - 1.0)
     continuous = (x**y - 1.0) / math.log(x)
-    return AnaloguePair(discrete, continuous)
+    return discrete, continuous

@@ -9,8 +9,11 @@ Shifted coefficients c_n(x) = sum_k c_{n-k} ln(x)^k / k! turn the table into
 a series for x^t / Gamma(t+1); they drive every series evaluation of the
 second continuous analogue.
 
-The recursion itself is run once per table order at elevated working
-precision and the results rounded to binary64.  Run naively in doubles it
+There is one table, c_0 .. c_110 (``TABLE_ORDER``), and every series in
+the package reads it or its shifted form ``weighted_series_coeffs(x)``.
+The recursion is run once at elevated working precision and the results
+rounded to binary64, so each coefficient is correctly rounded and a
+shorter table is a prefix of a longer one.  Run naively in doubles it
 hits an absolute noise floor near 1e-19 from n ~ 26 on (the true
 coefficients fall below 1e-80 by n = 80, while the head terms
 zeta(n+1) c_0 ~ 1 must cancel), and t^n amplification then destroys every
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
@@ -30,20 +32,20 @@ from .core import SeriesEval, zeta_hat
 from .discrete import _compositions
 
 __all__ = [
-    "CoeffTable",
-    "DEFAULT_TERMS",
+    "TABLE_ORDER",
     "SERIES_WINDOW",
     "c_table",
     "c_composition_oracle",
-    "c_of_x",
     "recip_gamma_series",
     "weighted_series_coeffs",
 ]
 
-#: Default table order; |c_80| < 1e-12, which bounds every downstream truncation.
-DEFAULT_TERMS = 80
+#: Order of the coefficient table; |c_110| 3^110 is about 3e-70, far below
+#: every downstream tolerance on the series window.
+TABLE_ORDER = 110
 
-#: Validated evaluation window for the series in t (empirical, double precision).
+#: Validated evaluation window of the c_n series in t (empirical, double
+#: precision).  Past it E_series recentres on unit subintervals.
 SERIES_WINDOW = 3.0
 
 _COMPOSITION_LIMIT = 20
@@ -54,30 +56,14 @@ _EPS = 2.220446049250313e-16
 _WEIGHTED_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Coefficients c_0 .. c_N of a power series in t."""
-
-    coefficients: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, n: int) -> float:
-        return self.coefficients[n]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-
 @lru_cache(maxsize=None)
-def c_table(n_max: int = DEFAULT_TERMS) -> CoeffTable:
+def c_table(n_max: int = TABLE_ORDER) -> tuple[float, ...]:
     """Coefficients c_0 .. c_{n_max} of 1/Gamma(t+1) by the zeta recursion.
 
     The zeta-hat values and the recursion run at an order-dependent working
     precision so that every returned binary64 coefficient is correctly
-    rounded.  Deterministic and cached per order.
+    rounded.  Deterministic and cached per argument list; the package itself
+    always asks for ``c_table(TABLE_ORDER)``.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -89,7 +75,7 @@ def c_table(n_max: int = DEFAULT_TERMS) -> CoeffTable:
                 (-1) ** k * zh[k + 1] * coeffs[n - k] for k in range(n + 1)
             )
             coeffs.append(acc / (n + 1))
-        return CoeffTable(tuple(float(c) for c in coeffs))
+        return tuple(float(c) for c in coeffs)
 
 
 def c_composition_oracle(n: int) -> float:
@@ -110,60 +96,47 @@ def c_composition_oracle(n: int) -> float:
     return math.fsum(terms)
 
 
-def c_of_x(n: int, x: float, table: CoeffTable | None = None) -> float:
-    """Shifted coefficient c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!; c_n(1) = c_n."""
-    if x <= 0:
-        raise ValueError(f"c_of_x requires x > 0, got {x}")
-    if table is None:
-        table = c_table()
-    if n > table.order:
-        raise ValueError(f"table holds {table.order + 1} coefficients, need n={n}")
-    return weighted_series_coeffs(x, table)[n]
-
-
-def recip_gamma_series(
-    t: float, table: CoeffTable | None = None, tol: float = 1e-12
-) -> SeriesEval:
-    """Evaluate sum c_n t^n, i.e. 1/Gamma(t+1), from a coefficient table.
-
-    Horner from the highest term.  ``converged`` is withheld outside the
-    validated window |t| <= 3 and when the tail or round-off floor exceeds
-    ``tol``.
-    """
-    if table is None:
-        table = c_table()
-    coeffs = table.coefficients
+def _horner(coeffs: tuple[float, ...], t: float) -> float:
+    """sum_n coeffs[n] t^n, from the highest term."""
     value = 0.0
     for c in reversed(coeffs):
         value = value * t + c
-    n = table.order
+    return value
+
+
+def recip_gamma_series(t: float) -> SeriesEval:
+    """Evaluate sum c_n t^n, i.e. 1/Gamma(t+1), from the coefficient table.
+
+    ``converged`` is withheld outside the validated window |t| <= 3 and when
+    the tail or round-off floor exceeds 1e-12 relative to max(1, |value|).
+    """
+    coeffs = c_table(TABLE_ORDER)
+    value = _horner(coeffs, t)
     at = abs(t)
-    tail = abs(coeffs[-1]) * at**n * 2.0 + _EPS * max(abs(c) * at**k for k, c in enumerate(coeffs))
-    converged = at <= SERIES_WINDOW and tail <= tol * max(1.0, abs(value))
+    tail = (abs(coeffs[-1]) * at**TABLE_ORDER * 2.0
+            + _EPS * max(abs(c) * at**k for k, c in enumerate(coeffs)))
+    converged = at <= SERIES_WINDOW and tail <= 1e-12 * max(1.0, abs(value))
     return SeriesEval(value, len(coeffs), tail, converged)
 
 
 @lru_cache(maxsize=_WEIGHTED_CACHE_SIZE)
-def weighted_series_coeffs(x: float, table: CoeffTable | None = None) -> CoeffTable:
-    """Coefficient table of t -> x^t / Gamma(t+1), i.e. all c_n(x).
+def weighted_series_coeffs(x: float) -> tuple[float, ...]:
+    """Coefficients c_0(x) .. c_110(x) of t -> x^t / Gamma(t+1).
 
-    Cached for the 64 most recent (x, table) arguments; the returned table
-    is immutable, so callers share it.
+    c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!, so c_n(1) = c_n.  Cached for
+    the 64 most recent x; the returned tuple is shared by every caller.
     """
     if x <= 0:
         raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")
-    if table is None:
-        table = c_table()
+    coeffs = c_table(TABLE_ORDER)
     if x == 1.0:
-        return table
+        return coeffs
     lx = math.log(x)
     # c_n(x) = sum_k c_{n-k} lx^k / k!, all orders from one list of lx^k / k!.
     log_powers = [1.0]
-    for k in range(1, len(table)):
+    for k in range(1, len(coeffs)):
         log_powers.append(log_powers[-1] * lx / k)
-    coeffs = table.coefficients
-    shifted = tuple(
+    return tuple(
         math.fsum(map(operator.mul, coeffs[n::-1], log_powers[: n + 1]))
         for n in range(len(coeffs))
     )
-    return CoeffTable(shifted)

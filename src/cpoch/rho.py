@@ -12,10 +12,12 @@ mu(x, beta, alpha) = integral_0^inf x^(alpha+t) t^beta /
 (Gamma(alpha+t+1) Gamma(beta+1)) dt.
 
 E has two independent evaluations: the power series
-E(x, z) = sum_{n>=1} c_{n-1}(x) z^n / n built from the reciprocal-gamma
-coefficients (recentred on unit subintervals past z = 3), and adaptive
-quadrature of the integrand.  nu and mu add certified Stirling-type tail
-bounds on top of the quadrature.
+E(x, z) = sum_{n>=1} c_{n-1}(x) z^n / n built from the shifted
+reciprocal-gamma coefficients c_0(x) .. c_110(x) of
+``recip_gamma.weighted_series_coeffs`` (recentred on unit subintervals
+past the series window z = 3), and adaptive quadrature of the integrand.
+nu and mu add certified Stirling-type tail bounds on top of the
+quadrature.
 
 Recentring detail: on [t0, t0+1] with integer t0 the integrand factors
 through the gamma functional equation as
@@ -39,7 +41,7 @@ import math
 
 from .core import LOG_FLOAT_MAX, ConvergenceError, LogScaled, SeriesEval
 from .quadrature import QuadratureError, QuadratureRequest, _legendre_rule, integrate_adaptive
-from .recip_gamma import CoeffTable, c_table, weighted_series_coeffs
+from .recip_gamma import SERIES_WINDOW, _horner, weighted_series_coeffs
 
 __all__ = [
     "e_integrand",
@@ -52,11 +54,6 @@ __all__ = [
     "E_deriv_z",
 ]
 
-#: Series window used for single-centre evaluation; beyond it the series is
-#: recentred on unit subintervals through the gamma functional equation.
-DIRECT_SERIES_LIMIT = 3.0
-
-_E_TABLE_ORDER = 110
 _SEGMENT_RULE_NODES = 24  # Gauss-Legendre per unit subinterval
 _EPS = 2.220446049250313e-16
 
@@ -68,18 +65,11 @@ def e_integrand(x: float, t: float) -> float:
     )
 
 
-def _horner(coeffs: tuple[float, ...], u: float) -> float:
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * u + c
-    return value
-
-
 def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
-    """E(x, z) by the coefficient series sum_{n>=1} c_{n-1}(x) z^n / n.
+    """E(x, z) by the coefficient series sum_{n=1}^{111} c_{n-1}(x) z^n / n.
 
-    Single-centre for z <= 3; past that, unit subintervals [t0, t0+1] are
-    integrated with the recentred representation
+    Single-centre for z <= 3 (``SERIES_WINDOW``); past that, unit
+    subintervals [t0, t0+1] are integrated with the recentred representation
     x^t0 series(u) / ((u+1)...(u+t0)), whose series argument u stays in
     [0, 1].  The series values at the nodes are computed once and shared by
     every full subinterval; a final partial one evaluates its own.
@@ -95,8 +85,8 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         raise ValueError("tol must be positive")
     if z == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
-    coeffs = weighted_series_coeffs(x, c_table(_E_TABLE_ORDER)).coefficients
-    head = min(z, DIRECT_SERIES_LIMIT)
+    coeffs = weighted_series_coeffs(x)
+    head = min(z, SERIES_WINDOW)
     total = 0.0
     peak = 0.0
     terms = len(coeffs)
@@ -108,7 +98,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         power *= head
     trunc = abs(coeffs[-1]) * head ** len(coeffs) * 2.0
     floor = _EPS * peak * 8.0
-    if z > DIRECT_SERIES_LIMIT:
+    if z > SERIES_WINDOW:
         nodes, weights = _legendre_rule(_SEGMENT_RULE_NODES)
         # Each full segment's (u+1)...(u+t0) extends the previous one by a
         # factor, in the order a fresh product takes, so the floats match it.
@@ -276,22 +266,21 @@ def rho(
     return x**z * result.value
 
 
-def E_deriv_z(x: float, z: float, k: int = 1, table: CoeffTable | None = None) -> float:
+def E_deriv_z(x: float, z: float, k: int = 1) -> float:
     """k-th z-derivative of E by the termwise-differentiated series.
 
-    d^k E / dz^k = sum_n (n+1)^(rising k-1) c_{n+k-1}(x) z^n; at k = 1 this
-    is the integrand x^z / Gamma(z+1).  Restricted to the validated window
-    z <= 3 and k in {1, 2, 3}.
+    d^k E / dz^k = sum_n (n+1)^(rising k-1) c_{n+k-1}(x) z^n over the
+    shifted coefficients c_0(x) .. c_110(x); at k = 1 this is the integrand
+    x^z / Gamma(z+1).  Restricted to the series window z <= 3 and k in
+    {1, 2, 3}.
     """
     if x <= 0:
         raise ValueError(f"E_deriv_z requires x > 0, got {x}")
-    if not 0.0 <= z <= DIRECT_SERIES_LIMIT:
-        raise ValueError(f"z must lie in [0, {DIRECT_SERIES_LIMIT}], got {z}")
+    if not 0.0 <= z <= SERIES_WINDOW:
+        raise ValueError(f"z must lie in [0, {SERIES_WINDOW}], got {z}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    if table is None:
-        table = weighted_series_coeffs(x, c_table(_E_TABLE_ORDER))
-    coeffs = table.coefficients
+    coeffs = weighted_series_coeffs(x)
     total = 0.0
     power = 1.0
     for n in range(len(coeffs) - k + 1):

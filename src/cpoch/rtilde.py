@@ -212,10 +212,10 @@ def _promote(log_value: float, sign: int, log_scaled: bool) -> float | LogScaled
 
 
 @lru_cache(maxsize=_POLY_ROW_CACHE_SIZE)
-def _poly_row(n: int) -> tuple[tuple[int, float | None, float], ...]:
+def _poly_row(n: int) -> tuple[tuple[int, float, float], ...]:
     """(k, float(rt_{n,k}), ln rt_{n,k}) for every k with rt_{n,k} != 0.
 
-    The float is None where rt_{n,k} exceeds the binary64 range.
+    The float is inf where rt_{n,k} exceeds the binary64 range.
     """
     row = []
     for k in range(n + 1):
@@ -225,23 +225,29 @@ def _poly_row(n: int) -> tuple[tuple[int, float | None, float], ...]:
         try:
             value = float(coeff)
         except OverflowError:
-            value = None
+            value = math.inf
         row.append((k, value, math.log(coeff.numerator) - math.log(coeff.denominator)))
     return tuple(row)
 
 
 def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float | LogScaled:
-    """Evaluate the coefficient polynomial sum_k rt_{n,k} x^k y^(n-k)."""
+    """Evaluate the coefficient polynomial sum_k rt_{n,k} x^k y^(n-k).
+
+    The plain form sums floats; where a coefficient, a power or the sum
+    leaves the binary64 range it returns the log-scaled sum instead.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     row = _poly_row(n)
     if not log_scaled:
         total = 0.0
-        for k, coeff, _ in row:
-            if coeff is None:
-                raise OverflowError(f"rt_{{{n},{k}}} exceeds the binary64 range")
-            total += coeff * x**k * y ** (n - k)
-        return total
+        try:
+            for k, coeff, _ in row:
+                total += coeff * x**k * y ** (n - k)
+        except OverflowError:  # x**k or y**(n-k)
+            total = math.inf
+        if math.isfinite(total):
+            return total
     acc = LogScaled(0, float("-inf"))
     lx = LogScaled.from_float(x)
     ly = LogScaled.from_float(y)

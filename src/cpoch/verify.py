@@ -51,8 +51,8 @@ from .gammafns import (
 )
 from .quadrature import QuadratureRequest, integrate_adaptive, integrate_simplex
 from .recip_gamma import (
+    TABLE_ORDER,
     c_composition_oracle,
-    c_of_x,
     c_table,
     recip_gamma_series,
     weighted_series_coeffs,
@@ -322,17 +322,17 @@ def _suite_kernel(tol_scale: float) -> list[CaseResult]:
 
 def _suite_recip(tol_scale: float) -> list[CaseResult]:
     col = _Collector("recip", tol_scale)
-    table = c_table(80)
+    table = c_table(TABLE_ORDER)
 
     worst = max(abs(c_composition_oracle(n) - table[n]) for n in range(1, 16))
     col.add("c_recursion_vs_compositions", {"n": "1..15"},
             "0", f"{worst:.3e}", worst, 1e-10)
 
     for t in RECIP_SERIES_T:
-        series = recip_gamma_series(t, table)
+        series = recip_gamma_series(t)
         exact = 1.0 / math.gamma(t + 1.0)
         err = abs(series.value - exact) if series.converged else float("inf")
-        col.add("series_vs_gamma", {"t": t, "N": 80},
+        col.add("series_vs_gamma", {"t": t, "N": TABLE_ORDER},
                 f"{exact:.17g}", f"{series.value:.17g}", err, 1e-12)
 
     col.holds("c80_decay", {"n": 80}, abs(table[80]) < 1e-12, f"|c_80| = {abs(table[80]):.3e}")
@@ -357,8 +357,8 @@ def _suite_recip(tol_scale: float) -> list[CaseResult]:
             "0", f"{worst:.3e}", worst, 1e-6)
 
     h = 1e-5
-    fd = (c_of_x(3, 2.0 + h, table) - c_of_x(3, 2.0 - h, table)) / (2.0 * h)
-    target = c_of_x(2, 2.0, table) / 2.0
+    fd = (weighted_series_coeffs(2.0 + h)[3] - weighted_series_coeffs(2.0 - h)[3]) / (2.0 * h)
+    target = weighted_series_coeffs(2.0)[2] / 2.0
     col.add("coefficient_x_derivative", {"n": 3, "x": 2.0},
             f"{target:.12e}", f"{fd:.12e}", abs(fd - target), 1e-7)
 
@@ -427,15 +427,16 @@ def _suite_discrete(tol_scale: float) -> list[CaseResult]:
             col.add("simplex_quadrature_vs_closed_forms", {"k": k, "x": x},
                     "0", f"{err:.3e}", err, 1e-7)
 
-    ratio = power_sum_pair(10_000, 2).ratio
+    discrete, continuous = power_sum_pair(10_000, 2)
+    ratio = discrete / continuous
     col.add("power_sum_ratio_limit", {"n": 10_000, "k": 2},
             "1", f"{ratio:.8f}", abs(ratio - 1.0), 2e-4)
 
     # The ratio decays only like 1/ln(x), so the 0.01 mark needs x ~ e^100.
-    ratios = [
-        geometric_sum_pair(x, 2.0).continuous / geometric_sum_pair(x, 2.0).discrete
-        for x in (1e2, 1e6, 1e50)
-    ]
+    ratios = []
+    for x in (1e2, 1e6, 1e50):
+        discrete, continuous = geometric_sum_pair(x, 2.0)
+        ratios.append(continuous / discrete)
     col.holds("geometric_ratio_decreasing", {"x": "1e2,1e6,1e50", "y": 2},
               ratios[0] > ratios[1] > ratios[2], f"ratios {[f'{r:.3e}' for r in ratios]}")
     col.add("geometric_ratio_limit", {"x": 1e50, "y": 2},
@@ -566,7 +567,7 @@ def _suite_analogue1(tol_scale: float) -> list[CaseResult]:
         for k in range(1, n):
             m = n - k
             cards = groupoid_cardinalities(n, k)
-            bound = Fraction((n - 1) ** (2 * m) * power_sum_pair(m, m).discrete,
+            bound = Fraction((n - 1) ** (2 * m) * power_sum_pair(m, m)[0],
                              2**m * math.factorial(m))
             if cards.g_even + cards.g_odd > bound:
                 ok = False
@@ -660,7 +661,7 @@ def _suite_analogue2(tol_scale: float) -> list[CaseResult]:
                 w = y * (z - 1.0) ** 2 / (2.0 * x)
                 zz = z - 1.0
                 series = 0.0
-                coeffs = weighted_series_coeffs(w, c_table(110)).coefficients
+                coeffs = weighted_series_coeffs(w)
                 power = zz**2
                 for n in range(2, len(coeffs) + 2):
                     series += coeffs[n - 2] * power / n

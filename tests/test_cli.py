@@ -87,6 +87,20 @@ class TestEval:
         assert result.exit_code == 3
         assert "numerical failure" in result.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["--log-scaled"]])
+    def test_overflowing_rtilde_sum_is_log_scaled(self, runner, flags):
+        result = runner.invoke(main, ["eval", "rtilde", "--x", "1e5", "--y", "1e5", "--z", "60",
+                                      *flags])
+        assert result.exit_code == 0
+        sign, log_mag = result.output.split()
+        assert sign == "1"
+        assert abs(float(log_mag) - 946.53) <= 0.01
+
+    def test_non_finite_float_is_numerical_failure(self, runner):
+        result = runner.invoke(main, ["eval", "r", "--x", "1e200", "--y", "1e200", "--z", "5"])
+        assert result.exit_code == 3
+        assert "numerical failure" in result.stderr
+
     def test_gamma_near_zero_is_log_scaled(self, runner):
         result = runner.invoke(main, ["eval", "gamma", "--z", "1e-320"])
         assert result.exit_code == 0

@@ -130,18 +130,16 @@ class TestSimplexClosedForms:
 
 class TestSumAnalogues:
     def test_power_sum_values(self):
-        pair = power_sum_pair(3, 1)
-        assert pair.discrete == 6
-        assert pair.continuous == 4.5
+        assert power_sum_pair(3, 1) == (6, 4.5)
 
     def test_power_sum_ratio_limit(self, verify_cases):
         verify_cases.check("discrete/power_sum_ratio_limit")
 
     def test_geometric_values(self):
-        pair = geometric_sum_pair(2.0, 3.0)
-        assert pair.discrete == 15.0  # 1 + 2 + 4 + 8
-        assert abs(pair.continuous - 7.0 / math.log(2.0)) <= 1e-12
-        assert abs(pair.continuous - 10.0989) <= 1e-4
+        discrete, continuous = geometric_sum_pair(2.0, 3.0)
+        assert discrete == 15.0  # 1 + 2 + 4 + 8
+        assert abs(continuous - 7.0 / math.log(2.0)) <= 1e-12
+        assert abs(continuous - 10.0989) <= 1e-4
 
     def test_geometric_ratio_decays(self, verify_cases):
         verify_cases.check("discrete/geometric_ratio_decreasing", "discrete/geometric_ratio_limit")

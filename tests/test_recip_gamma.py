@@ -1,22 +1,27 @@
+import hashlib
 import math
 
 import pytest
 
 from cpoch.core import EULER_GAMMA, zeta
 from cpoch.recip_gamma import (
+    TABLE_ORDER,
     c_composition_oracle,
-    c_of_x,
     c_table,
     recip_gamma_series,
     weighted_series_coeffs,
 )
-from cpoch.rho import E_series
-from cpoch.verify import RECIP_SERIES_T
+from cpoch.rho import E_deriv_z, E_series
+from cpoch.verify import RECIP_SERIES_T, run_suite
+
+
+def _digest(coeffs):
+    return hashlib.sha256(",".join(map(float.hex, coeffs)).encode()).hexdigest()
 
 
 class TestCoefficients:
     def test_order_zero(self):
-        assert c_table(0).coefficients == (1.0,)
+        assert c_table(0) == (1.0,)
 
     def test_first_is_euler_gamma(self):
         assert abs(c_table(5)[1] - EULER_GAMMA) <= 1e-16
@@ -42,6 +47,10 @@ class TestCoefficients:
     def test_composition_oracle_full_range(self, verify_cases):
         verify_cases.check("recip/c_recursion_vs_compositions")
 
+    def test_shorter_table_is_prefix(self):
+        # every coefficient is correctly rounded, so the order only truncates
+        assert c_table(80) == c_table()[:81]
+
     def test_composition_budget_guard(self):
         with pytest.raises(ValueError):
             c_composition_oracle(21)
@@ -52,13 +61,11 @@ class TestCoefficients:
 
 class TestSeries:
     def test_unit_values(self):
-        table = c_table(80)
-        assert recip_gamma_series(0.0, table).value == 1.0
-        assert abs(recip_gamma_series(1.0, table).value - 1.0) <= 1e-14
+        assert recip_gamma_series(0.0).value == 1.0
+        assert abs(recip_gamma_series(1.0).value - 1.0) <= 1e-14
 
     def test_near_minimum(self):
-        table = c_table(80)
-        got = recip_gamma_series(0.4616, table).value
+        got = recip_gamma_series(0.4616).value
         assert abs(got - 1.0 / math.gamma(1.4616)) <= 1e-13
         assert abs(got - 1.1292) <= 1e-3  # reciprocal of the gamma minimum
 
@@ -67,34 +74,28 @@ class TestSeries:
         verify_cases.check("recip/series_vs_gamma", t=t)
 
     def test_flags_outside_window(self):
-        assert not recip_gamma_series(4.5, c_table(80)).converged
+        assert not recip_gamma_series(4.5).converged
 
 
 class TestShiftedCoefficients:
     def test_at_one_is_identity(self):
-        table = c_table(40)
-        for n in (0, 1, 7, 25):
-            assert c_of_x(n, 1.0, table) == table[n]
-        assert weighted_series_coeffs(1.0, table).coefficients == table.coefficients
+        assert weighted_series_coeffs(1.0) == c_table()
 
     def test_constant_term(self):
-        table = c_table(10)
         for x in (0.2, 1.0, 9.0):
-            assert c_of_x(0, x, table) == 1.0
+            assert weighted_series_coeffs(x)[0] == 1.0
 
     def test_log_shift_at_e(self):
-        table = c_table(10)
-        assert abs(c_of_x(1, math.e, table) - (table[1] + 1.0)) <= 1e-15
+        assert abs(weighted_series_coeffs(math.e)[1] - (c_table()[1] + 1.0)) <= 1e-15
 
     @pytest.mark.parametrize("x", [0.3, 2.0, 4.0])
     def test_weighted_series_evaluates_weighted_function(self, x):
-        table = c_table(80)
-        coeffs = weighted_series_coeffs(x, table).coefficients
+        coeffs = weighted_series_coeffs(x)
         for t in (-2.0, -0.5, 0.0, 0.9, 2.0):
             total = 0.0
             for c in reversed(coeffs):
                 total = total * t + c
-            expected = x**t * recip_gamma_series(t, table).value
+            expected = x**t * recip_gamma_series(t).value
             assert abs(total - expected) <= 1e-11 * max(1.0, abs(expected))
             if t > -1.0:  # gamma pole-free points double-checked directly
                 direct = x**t / math.gamma(t + 1.0)
@@ -106,9 +107,12 @@ class TestShiftedCoefficients:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            c_of_x(2, 0.0, c_table(5))
+            weighted_series_coeffs(0.0)
         with pytest.raises(ValueError):
-            weighted_series_coeffs(-1.0, c_table(5))
+            weighted_series_coeffs(-1.0)
+        assert len(weighted_series_coeffs(2.0)) == TABLE_ORDER + 1
+        with pytest.raises(IndexError):
+            weighted_series_coeffs(2.0)[TABLE_ORDER + 1]
 
 
 class TestWeightedCache:
@@ -118,20 +122,78 @@ class TestWeightedCache:
             E_series(3.7, 0.4 + 1.9 * k)
         info = weighted_series_coeffs.cache_info()
         assert (info.misses, info.hits) == (1, 15)
-        table = c_table(110)
-        assert weighted_series_coeffs(3.7, table) == weighted_series_coeffs.__wrapped__(3.7, table)
+        assert weighted_series_coeffs(3.7) == weighted_series_coeffs.__wrapped__(3.7)
 
     def test_bounded(self):
         weighted_series_coeffs.cache_clear()
         size = weighted_series_coeffs.cache_info().maxsize
         assert size is not None
-        table = c_table(10)
         for k in range(size + 10):
-            weighted_series_coeffs(0.5 + k / 16.0, table)
+            weighted_series_coeffs(0.5 + k / 16.0)
         assert weighted_series_coeffs.cache_info().currsize == size
 
     def test_rejected_x_raises_every_call(self):
         for _ in range(3):
             for x in (0.0, -1.0):
                 with pytest.raises(ValueError):
-                    weighted_series_coeffs(x, c_table(5))
+                    weighted_series_coeffs(x)
+
+
+class TestOneTable:
+    def test_verify_builds_one_table(self):
+        c_table.cache_clear()
+        weighted_series_coeffs.cache_clear()
+        assert run_suite("all").passed
+        assert c_table.cache_info().currsize == 1
+
+
+# Bits of the coefficient layer; a change to any returned float fails here.
+C_TABLE_SHA256 = "bd74a60ac3f9ae6e75d3e9caf48f00aba2f97e24d84a3b753a071474e5cba532"
+
+WEIGHTED_SHA256 = {
+    1e-3: "d951fb9b140ea82e495f54031ef8b7b716ef6b3d99c2692162741d8ee245f4c0",
+    0.3: "4a76c694c49e3550642f3c20eaab776ab0b9ade64ce43248049879b7f9612618",
+    1.0: C_TABLE_SHA256,
+    2.0: "be475104a2985481b0791573c0c3285b69db2ec2847aed0b52fc3323349e8470",
+    500.0: "da27ddd9149d196faca7753071914393645445be0a1a8219d17fc9922d4a7380",
+}
+
+# t -> (value, tail estimate) of recip_gamma_series, both as float.hex; all converged
+RECIP_SERIES_PINS = {
+    -0.5: ("0x1.20dd750429b6dp-1", "0x1.0000000000000p-52"),
+    -0.25: ("0x1.a1d12aa2b99e4p-1", "0x1.0000000000000p-52"),
+    0.0: ("0x1.0000000000000p+0", "0x1.0000000000000p-52"),
+    0.3: ("0x1.1d3eff3e060ebp+0", "0x1.0000000000000p-52"),
+    1.0: ("0x1.0000000000000p+0", "0x1.0000000000000p-52"),
+    1.7: ("0x1.4b757fee24ae6p-1", "0x1.e53ead569f130p-52"),
+    2.5: ("0x1.341f6bc02c7ecp-2", "0x1.a058b616c07cfp-50"),
+    3.0: ("0x1.555555555556cp-3", "0x1.f935e4e98c5e2p-49"),
+}
+
+# (x, z, k) -> E_deriv_z as float.hex, at the points the verify suites use
+E_DERIV_PINS = {
+    (1.3, 0.8, 1): "0x1.530d3f01e4c30p+0",
+    (2.0, 1.5, 2): "-0x1.5cee4d1110f90p-6",
+    (2.0, 0.2, 2): "0x1.3a91fd462f03dp+0",
+    (2.0, 1.1, 3): "-0x1.27924b2cde48ap+0",
+}
+
+
+class TestPinnedBits:
+    def test_table(self):
+        assert len(c_table()) == TABLE_ORDER + 1
+        assert _digest(c_table()) == C_TABLE_SHA256
+
+    @pytest.mark.parametrize("x", sorted(WEIGHTED_SHA256))
+    def test_weighted_coefficients(self, x):
+        assert _digest(weighted_series_coeffs(x)) == WEIGHTED_SHA256[x]
+
+    @pytest.mark.parametrize("t", RECIP_SERIES_T)
+    def test_recip_series(self, t):
+        got = recip_gamma_series(t)
+        assert (got.value.hex(), got.tail_estimate.hex(), got.converged) == (
+            *RECIP_SERIES_PINS[t], True)
+
+    @pytest.mark.parametrize("point", sorted(E_DERIV_PINS))
+    def test_E_deriv_z(self, point):
+        assert E_deriv_z(*point).hex() == E_DERIV_PINS[point]

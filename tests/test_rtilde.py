@@ -148,11 +148,21 @@ class TestEvaluations:
         assert info.maxsize == info.currsize == _POLY_ROW_CACHE_SIZE
 
     def test_poly_beyond_binary64_coefficients(self):
-        # rt_{200,1} overflows a float: the plain form raises, the log form sums
-        with pytest.raises(OverflowError):
-            rtilde_poly(1.1, 0.9, 200)
+        # rt_{200,1} overflows a float: the plain form returns the log-scaled sum
         scaled = rtilde_poly(1.1, 0.9, 200, log_scaled=True)
         assert scaled.sign == 1 and math.isfinite(scaled.log_magnitude)
+        assert rtilde_poly(1.1, 0.9, 200) == scaled
+
+    @pytest.mark.parametrize("x, y, n, log_value", [
+        (1e5, 1e5, 60, 946.53),    # finite coefficients, the float sum overflows
+        (1e3, 1e3, 100, 1172.87),
+        (1e5, 1e5, 70, None),      # x**k itself overflows
+    ])
+    def test_poly_overflowing_sum_is_log_scaled(self, x, y, n, log_value):
+        scaled = rtilde_poly(x, y, n, log_scaled=True)
+        assert rtilde_poly(x, y, n) == scaled
+        if log_value is not None:
+            assert abs(scaled.log_magnitude - log_value) <= 0.01
 
     def test_small_values(self):
         assert rtilde_poly(1.0, 1.0, 3) == 5.0
