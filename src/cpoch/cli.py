@@ -22,19 +22,29 @@ from .rho import E_quadrature, mu_function, nu, rho
 from .rtilde import groupoid_cardinalities, rtilde_ext, rtilde_poly, rtilde_triangle
 from .verify import SUITE_NAMES, run_suite
 
-# per-target parameter sets for `eval`; anything else on the line is rejected
-EVAL_PARAMS = {
-    "r": ("x", "y", "z"),
-    "r-cont": ("x", "y", "z"),
-    "rtilde": ("x", "y", "z"),
-    "rtilde-ext": ("x", "y", "z"),
-    "rho": ("x", "y", "z"),
-    "E": ("x", "z"),
-    "nu": ("x",),
-    "mu": ("x", "beta", "alpha"),
-    "gamma": ("z",),
-    "gamma-y": ("x", "y"),
-    "Q": ("z", "x"),
+
+def _require_integer(name: str, value: float) -> int:
+    if value != int(value) or value < 0:
+        raise click.UsageError(f"--{name} must be a non-negative integer for this target")
+    return int(value)
+
+
+# target -> (required parameters, optional parameters, call(tol, **parameters));
+# anything else on the line is rejected
+_XYZ = ("x", "y", "z")
+EVAL_TARGETS = {
+    "r": (_XYZ, (), lambda tol, x, y, z: pochhammer_discrete(x, y, _require_integer("z", z))),
+    "r-cont": (_XYZ, (), lambda tol, x, y, z: pochhammer_continuous(x, y, z)),
+    "rtilde": (_XYZ, (), lambda tol, x, y, z: rtilde_poly(x, y, _require_integer("z", z))),
+    "rtilde-ext": (_XYZ, (), lambda tol, x, y, z: rtilde_ext(x, y, z)),
+    "rho": (_XYZ, (), lambda tol, x, y, z: rho(x, y, z, tol)),
+    "E": (("x", "z"), (), lambda tol, x, z: E_quadrature(x, z, tol)),
+    "nu": (("x",), (), lambda tol, x: nu(x, tol)),
+    "mu": (("x",), ("beta", "alpha"),
+           lambda tol, x, beta=0.0, alpha=0.0: mu_function(x, beta, alpha, tol)),
+    "gamma": (("z",), (), lambda tol, z: gamma(z)),
+    "gamma-y": (("x", "y"), (), lambda tol, x, y: gamma_y(y, x)),
+    "Q": (("z", "x"), (), lambda tol, z, x: regularized_q(z, x, tol)),
 }
 
 TABLE_KINDS = ("stirling1", "stirling2", "rtilde", "stilde", "Stilde", "groupoid")
@@ -59,41 +69,8 @@ def main():
     """Pochhammer symbol, Stirling triangles, and their continuous analogues."""
 
 
-def _require_integer(name: str, value: float) -> int:
-    if value != int(value) or value < 0:
-        raise click.UsageError(f"--{name} must be a non-negative integer for this target")
-    return int(value)
-
-
-def _evaluate(target: str, params: dict[str, float], tol: float):
-    x = params.get("x")
-    y = params.get("y")
-    z = params.get("z")
-    if target == "r":
-        return pochhammer_discrete(x, y, _require_integer("z", z))
-    if target == "r-cont":
-        return pochhammer_continuous(x, y, z)
-    if target == "rtilde":
-        return rtilde_poly(x, y, _require_integer("z", z))
-    if target == "rtilde-ext":
-        return rtilde_ext(x, y, z)
-    if target == "rho":
-        return rho(x, y, z, tol)
-    if target == "E":
-        return E_quadrature(x, z, tol)
-    if target == "nu":
-        return nu(x, tol)
-    if target == "mu":
-        return mu_function(x, params.get("beta", 0.0), params.get("alpha", 0.0), tol)
-    if target == "gamma":
-        return gamma(z)
-    if target == "gamma-y":
-        return gamma_y(y, x)
-    return regularized_q(z, x, tol)  # target == "Q"
-
-
 @main.command("eval")
-@click.argument("target", type=click.Choice(sorted(EVAL_PARAMS), case_sensitive=True))
+@click.argument("target", type=click.Choice(sorted(EVAL_TARGETS), case_sensitive=True))
 @click.option("--x", type=float, default=None, help="first argument")
 @click.option("--y", type=float, default=None, help="second argument")
 @click.option("--z", type=float, default=None, help="order / limit argument")
@@ -107,18 +84,18 @@ def eval_command(target, x, y, z, alpha, beta, tol, log_scaled, fmt):
     """Evaluate one function and print one value."""
     provided = {k: v for k, v in (("x", x), ("y", y), ("z", z), ("alpha", alpha),
                                   ("beta", beta)) if v is not None}
-    allowed = EVAL_PARAMS[target]
+    required, optional, call = EVAL_TARGETS[target]
+    allowed = required + optional
     unknown = sorted(set(provided) - set(allowed))
     if unknown:
         raise click.UsageError(
             f"{target} does not take --{', --'.join(unknown)} (takes --{', --'.join(allowed)})"
         )
-    required = [p for p in allowed if p not in ("alpha", "beta")]
     missing = sorted(set(required) - set(provided))
     if missing:
         raise click.UsageError(f"{target} requires --{', --'.join(missing)}")
     try:
-        result = _evaluate(target, provided, tol)
+        result = call(tol, **provided)
     except (ConvergenceError, OverflowError) as exc:
         click.echo(f"numerical failure in {target}: {exc}", err=True)
         sys.exit(3)

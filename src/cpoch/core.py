@@ -11,6 +11,12 @@ Everything downstream builds on three carriers:
 * ``SeriesEval`` -- the value/terms/tail/converged record returned by every
   series-based routine, so callers can tell a truncated answer from a
   trusted one.
+
+The analogues (rt, rho, the continuous Pochhammer, Gamma_y) leave the
+binary64 range at modest orders, so they return ``float | LogScaled`` by one
+rule, applied by ``exp_or_log_scaled``: a value whose natural log exceeds
+``LOG_SCALED_FROM`` = ``LOG_FLOAT_MAX`` - 1 is a ``LogScaled``, any other a
+float.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from functools import lru_cache
 __all__ = [
     "LogScaled",
     "SeriesEval",
+    "exp_or_log_scaled",
+    "reduced_argument",
     "ConvergenceError",
     "EULER_GAMMA",
     "zeta",
@@ -34,6 +42,9 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286061
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # ~709.78
+
+LOG_SCALED_FROM = LOG_FLOAT_MAX - 1.0  # one unit of headroom
+MACHINE_EPS = sys.float_info.epsilon  # 2**-52
 
 
 class ConvergenceError(RuntimeError):
@@ -120,6 +131,22 @@ def _as_log_scaled(x: "LogScaled | float | int") -> LogScaled:
     if isinstance(x, LogScaled):
         return x
     return LogScaled.from_float(float(x))
+
+
+def exp_or_log_scaled(log_value: float) -> "float | LogScaled":
+    """exp(log_value), as LogScaled past ``LOG_SCALED_FROM``."""
+    if log_value > LOG_SCALED_FROM:
+        return LogScaled(1, log_value)
+    return math.exp(log_value)
+
+
+def reduced_argument(x: float, y: float, z: float) -> float:
+    """w = y (z-1)^2 / 2x of both analogues; y / 2x goes first only where
+    y (z-1)^2 overflows, so that a moderate w stays finite."""
+    numerator = y * (z - 1.0) ** 2
+    if math.isinf(numerator):
+        return (y / (2.0 * x)) * (z - 1.0) ** 2
+    return numerator / (2.0 * x)
 
 
 @lru_cache(maxsize=None)

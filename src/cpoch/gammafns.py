@@ -17,7 +17,7 @@ import math
 import sys
 from functools import lru_cache
 
-from .core import LOG_FLOAT_MAX, LogScaled, SeriesEval
+from .core import LOG_SCALED_FROM, MACHINE_EPS, LogScaled, SeriesEval, exp_or_log_scaled
 
 __all__ = [
     "gamma",
@@ -39,7 +39,6 @@ GAMMA_TINY_Z = 1.0 / sys.float_info.max
 
 _MAX_SERIES_TERMS = 10_000
 _MAX_CF_TERMS = 10_000
-_EPS = 2.220446049250313e-16
 _TINY = 1e-300
 
 
@@ -146,12 +145,12 @@ def regularized_q(z: float, x: float, tol: float = 1e-13) -> SeriesEval:
     if x <= z + 1.0:
         p, terms, tail = _lower_series(z, x)
         q = 1.0 - p
-        tail = tail + 4.0 * _EPS
+        tail = tail + 4.0 * MACHINE_EPS
         return SeriesEval(q, terms, tail, tail <= tol and terms < _MAX_SERIES_TERMS)
     h, terms, resid = _upper_cf(z, x)
     scale = math.exp(z * math.log(x) - x - math.lgamma(z))
     q = h * scale
-    tail = abs(q) * (resid + 8.0 * _EPS) + _TINY
+    tail = abs(q) * (resid + 8.0 * MACHINE_EPS) + _TINY
     return SeriesEval(q, terms, tail, tail <= tol and terms < _MAX_CF_TERMS)
 
 
@@ -210,7 +209,9 @@ def e_partial(z: float, x: float) -> float:
 def gamma_y(y: float, x: float) -> float | LogScaled:
     """Deformed gamma Gamma_y(x) = integral of t^(x-1) exp(-t^y / y).
 
-    Evaluated through the reduction Gamma_y(x) = y^(x/y - 1) Gamma(x/y).
+    Evaluated through the reduction Gamma_y(x) = y^(x/y - 1) Gamma(x/y):
+    as that product where both factors are floats, otherwise from its log,
+    float or LogScaled by the rule of ``cpoch.core``.
     """
     if y <= 0:
         raise ValueError(f"gamma_y requires y > 0, got {y}")
@@ -221,20 +222,17 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
     a = x / y
     exponent = a - 1.0
     log_value = exponent * math.log(y) + math.lgamma(a)
-    if log_value > LOG_FLOAT_MAX - 1.0:
-        return LogScaled(1, log_value)
-    if abs(exponent * math.log(y)) > 690.0 or not GAMMA_TINY_Z < a < GAMMA_OVERFLOW_Z:
-        return math.exp(log_value)
+    if (log_value > LOG_SCALED_FROM or abs(exponent * math.log(y)) > 690.0
+            or not GAMMA_TINY_Z < a < GAMMA_OVERFLOW_Z):
+        return exp_or_log_scaled(log_value)
     return y**exponent * math.gamma(a)
 
 
-def pochhammer_continuous(
-    x: float, y: float, z: float, log_scaled: bool = False
-) -> float | LogScaled:
+def pochhammer_continuous(x: float, y: float, z: float) -> float | LogScaled:
     """Continuous Pochhammer extension y^z Gamma(x/y + z) / Gamma(x/y).
 
     Agrees with the product x (x+y) ... (x+(n-1)y) at integer z = n.
-    Returns LogScaled when the value overflows or when requested.
+    Formed in logs; float or LogScaled by the rule of ``cpoch.core``.
     """
     if x <= 0:
         raise ValueError(f"pochhammer_continuous requires x > 0, got {x}")
@@ -243,7 +241,4 @@ def pochhammer_continuous(
     if z < 0:
         raise ValueError(f"pochhammer_continuous requires z >= 0, got {z}")
     a = x / y
-    log_value = z * math.log(y) + math.lgamma(a + z) - math.lgamma(a)
-    if log_scaled or log_value > LOG_FLOAT_MAX - 1.0:
-        return LogScaled(1, log_value)
-    return math.exp(log_value)
+    return exp_or_log_scaled(z * math.log(y) + math.lgamma(a + z) - math.lgamma(a))

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 MAX_HERMITE_NODES = 128
+MAX_SUBDIVISIONS = 200  # QUADPACK interval budget of integrate_adaptive
 SIMPLEX_MAX_DEPTH = 5
 _SIMPLEX_RULE_NODES = 10  # Gauss-Legendre, exact to polynomial degree 19
 
@@ -45,7 +46,6 @@ class QuadratureRequest:
     lower: float
     upper: float
     tolerance: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not self.lower <= self.upper:
@@ -69,7 +69,7 @@ def integrate_adaptive(request: QuadratureRequest) -> tuple[float, float]:
         request.upper,
         epsabs=request.tolerance,
         epsrel=request.tolerance,
-        limit=request.max_subdivisions,
+        limit=MAX_SUBDIVISIONS,
         full_output=1,
     )
     value, abserr = out[0], out[1]

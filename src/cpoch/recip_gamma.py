@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .core import SeriesEval, zeta_hat
+from .core import MACHINE_EPS, SeriesEval, zeta_hat
 from .discrete import _compositions
 
 __all__ = [
@@ -49,33 +49,31 @@ TABLE_ORDER = 110
 SERIES_WINDOW = 3.0
 
 _COMPOSITION_LIMIT = 20
-_EPS = 2.220446049250313e-16
 
 #: Distinct x whose shifted coefficients are kept; a z-sweep at fixed x
 #: (E_series, rho along a curve) then builds them once.
 _WEIGHTED_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=None)
-def c_table(n_max: int = TABLE_ORDER) -> tuple[float, ...]:
-    """Coefficients c_0 .. c_{n_max} of 1/Gamma(t+1) by the zeta recursion.
-
-    The zeta-hat values and the recursion run at an order-dependent working
-    precision so that every returned binary64 coefficient is correctly
-    rounded.  Deterministic and cached per argument list; the package itself
-    always asks for ``c_table(TABLE_ORDER)``.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    with mp.workdps(30 + n_max):
-        zh = [mp.mpf(0), +mp.euler] + [mp.zeta(k) for k in range(2, n_max + 2)]
+@lru_cache(maxsize=1)
+def _table() -> tuple[float, ...]:
+    """c_0 .. c_{TABLE_ORDER}, built once per process, each correctly rounded."""
+    with mp.workdps(30 + TABLE_ORDER):
+        zh = [mp.mpf(0), +mp.euler] + [mp.zeta(k) for k in range(2, TABLE_ORDER + 2)]
         coeffs = [mp.mpf(1)]
-        for n in range(n_max):
+        for n in range(TABLE_ORDER):
             acc = mp.fsum(
                 (-1) ** k * zh[k + 1] * coeffs[n - k] for k in range(n + 1)
             )
             coeffs.append(acc / (n + 1))
         return tuple(float(c) for c in coeffs)
+
+
+def c_table(n_max: int = TABLE_ORDER) -> tuple[float, ...]:
+    """Coefficients c_0 .. c_{n_max} of 1/Gamma(t+1), a prefix of the one table."""
+    if not 0 <= n_max <= TABLE_ORDER:
+        raise ValueError(f"n_max must lie in [0, {TABLE_ORDER}], got {n_max}")
+    return _table()[: n_max + 1]
 
 
 def c_composition_oracle(n: int) -> float:
@@ -110,11 +108,11 @@ def recip_gamma_series(t: float) -> SeriesEval:
     ``converged`` is withheld outside the validated window |t| <= 3 and when
     the tail or round-off floor exceeds 1e-12 relative to max(1, |value|).
     """
-    coeffs = c_table(TABLE_ORDER)
+    coeffs = _table()
     value = _horner(coeffs, t)
     at = abs(t)
     tail = (abs(coeffs[-1]) * at**TABLE_ORDER * 2.0
-            + _EPS * max(abs(c) * at**k for k, c in enumerate(coeffs)))
+            + MACHINE_EPS * max(abs(c) * at**k for k, c in enumerate(coeffs)))
     converged = at <= SERIES_WINDOW and tail <= 1e-12 * max(1.0, abs(value))
     return SeriesEval(value, len(coeffs), tail, converged)
 
@@ -128,7 +126,7 @@ def weighted_series_coeffs(x: float) -> tuple[float, ...]:
     """
     if x <= 0:
         raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")
-    coeffs = c_table(TABLE_ORDER)
+    coeffs = _table()
     if x == 1.0:
         return coeffs
     lx = math.log(x)

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 
-from .core import LOG_FLOAT_MAX, ConvergenceError, LogScaled, SeriesEval
+from .core import LOG_SCALED_FROM, MACHINE_EPS, ConvergenceError, LogScaled, SeriesEval
+from .core import reduced_argument
 from .quadrature import QuadratureError, QuadratureRequest, _legendre_rule, integrate_adaptive
 from .recip_gamma import SERIES_WINDOW, _horner, weighted_series_coeffs
 
@@ -55,7 +56,6 @@ __all__ = [
 ]
 
 _SEGMENT_RULE_NODES = 24  # Gauss-Legendre per unit subinterval
-_EPS = 2.220446049250313e-16
 
 
 def e_integrand(x: float, t: float) -> float:
@@ -97,7 +97,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         peak = max(peak, abs(term))
         power *= head
     trunc = abs(coeffs[-1]) * head ** len(coeffs) * 2.0
-    floor = _EPS * peak * 8.0
+    floor = MACHINE_EPS * peak * 8.0
     if z > SERIES_WINDOW:
         nodes, weights = _legendre_rule(_SEGMENT_RULE_NODES)
         # Each full segment's (u+1)...(u+t0) extends the previous one by a
@@ -123,7 +123,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
                 segment += weight * value / denom
             seg_value = x**t0 * segment * half
             total += seg_value
-            floor += _EPS * (abs(seg_value) + 1.0) * 8.0
+            floor += MACHINE_EPS * (abs(seg_value) + 1.0) * 8.0
             t0 += 1
     tail = trunc + floor
     converged = tail <= tol * max(1.0, abs(total))
@@ -221,20 +221,15 @@ def mu_function(x: float, beta: float = 0.0, alpha: float = 0.0, tol: float = 1e
     return value
 
 
-def rho(
-    x: float,
-    y: float,
-    z: float,
-    tol: float = 1e-10,
-    log_scaled: bool = False,
-) -> float | LogScaled:
+def rho(x: float, y: float, z: float, tol: float = 1e-10) -> float | LogScaled:
     """rho(x, y, z) = x^z E(y (z-1)^2 / 2x, z - 1).
 
     Defined for z > 1; the boundary value rho(x, y, 1) = 0 is accepted by
     continuity.  E is evaluated by ``E_series``, the coefficient machinery,
     which is smooth in the parameters; ``E_quadrature`` is its independent
     oracle.  Raises ConvergenceError unless E's series certifies ``tol`` and
-    x^z times its tail estimate stays within tol * max(1, |rho|).
+    x^z times its tail estimate stays within tol * max(1, |rho|).  The float
+    product x^z E, or LogScaled by the rule of ``cpoch.core``.
     """
     if x <= 0:
         raise ValueError(f"rho requires x > 0, got {x}")
@@ -243,8 +238,8 @@ def rho(
     if z < 1:
         raise ValueError(f"rho requires z >= 1, got {z}")
     if z == 1.0:
-        return LogScaled(0, float("-inf")) if log_scaled else 0.0
-    w = y * (z - 1.0) ** 2 / (2.0 * x)
+        return 0.0
+    w = reduced_argument(x, y, z)
     result = E_series(w, z - 1.0, tol)
     if not result.converged:
         raise ConvergenceError(
@@ -261,7 +256,7 @@ def rho(
             f"rho did not certify tol={tol} at (x={x}, y={y}, z={z}): E tail estimate "
             f"{result.tail_estimate:.3g} scaled by x^z exceeds tol * max(1, |rho|)"
         )
-    if log_scaled or log_value > LOG_FLOAT_MAX - 1.0:
+    if log_value > LOG_SCALED_FROM:
         return LogScaled(1, log_value)
     return x**z * result.value
 

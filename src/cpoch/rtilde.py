@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import LOG_FLOAT_MAX, LogScaled, SeriesEval
+from .core import MACHINE_EPS, LogScaled, SeriesEval, exp_or_log_scaled, reduced_argument
 from .discrete import _compositions
 from .gammafns import e_partial_sum, log_e_partial
 from .quadrature import gauss_hermite
@@ -49,8 +49,8 @@ __all__ = [
 RTILDE_MAX_N = 48
 MOBIUS_ORACLE_MAX_N = 12
 
-_EPS = 2.220446049250313e-16
 _MAX_TERMS = 4000
+SERIES_FORMS_TOL = 1e-9  # relative; behind the converged flag of both series forms
 
 #: Orders n whose coefficient rows rtilde_poly keeps; every order of the
 #: exact tables (n <= RTILDE_MAX_N) fits, so a sweep over them builds each once.
@@ -205,12 +205,6 @@ def groupoid_cardinalities(n: int, k: int) -> GroupoidCardinalities:
     return GroupoidCardinalities(g, Fraction(even[m], denom), Fraction(odd[m], denom))
 
 
-def _promote(log_value: float, sign: int, log_scaled: bool) -> float | LogScaled:
-    if log_scaled or log_value > LOG_FLOAT_MAX - 1.0:
-        return LogScaled(sign, log_value)
-    return sign * math.exp(log_value)
-
-
 @lru_cache(maxsize=_POLY_ROW_CACHE_SIZE)
 def _poly_row(n: int) -> tuple[tuple[int, float, float], ...]:
     """(k, float(rt_{n,k}), ln rt_{n,k}) for every k with rt_{n,k} != 0.
@@ -265,19 +259,28 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
     return acc
 
 
-def rtilde_closed(x: float, y: float, n: int, log_scaled: bool = False) -> float | LogScaled:
-    """Closed form x^n e_{n-1}(y (n-1)^2 / 2x) of the coefficient polynomial."""
+def rtilde_closed(x: float, y: float, n: int) -> float | LogScaled:
+    """Closed form x^n e_{n-1}(y (n-1)^2 / 2x) of the coefficient polynomial.
+
+    The float product where it is finite.  Past the binary64 range it is
+    summed in logs, float or LogScaled by the rule of ``cpoch.core``; that
+    needs x > 0 and y >= 0, and other signs raise OverflowError there.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if x == 0:
         raise ValueError("x = 0 requires the polynomial form")
-    w = y * (n - 1) ** 2 / (2.0 * x)
-    if not log_scaled:
-        return x**n * e_partial_sum(n, w)
+    w = reduced_argument(x, y, n)
+    try:
+        value = x**n * e_partial_sum(n, w)
+    except OverflowError:  # x**n
+        value = math.inf
+    if math.isfinite(value):
+        return value
     if x < 0 or w < 0:
-        raise ValueError("log-scaled output requires x > 0 and y >= 0")
-    log_value = n * math.log(x) + _log_e_partial_sum(n, w)
-    return LogScaled(1, log_value)
+        raise OverflowError(f"rtilde_closed({x}, {y}, {n}) leaves binary64; "
+                            "its log-scaled form needs x > 0 and y >= 0")
+    return exp_or_log_scaled(n * math.log(x) + _log_e_partial_sum(n, w))
 
 
 def _log_e_partial_sum(n: int, w: float) -> float:
@@ -295,11 +298,12 @@ def _log_e_partial_sum(n: int, w: float) -> float:
     return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
 
 
-def rtilde_ext(x: float, y: float, z: float, log_scaled: bool = False) -> float | LogScaled:
+def rtilde_ext(x: float, y: float, z: float) -> float | LogScaled:
     """Smooth extension x^z e^w Gamma(z, w)/Gamma(z) with w = y (z-1)^2 / 2x.
 
     Always evaluated through the incomplete-gamma route, so that at integer
-    z it provides a path independent of the closed-form sum.
+    z it provides a path independent of the closed-form sum.  Formed in
+    logs; float or LogScaled by the rule of ``cpoch.core``.
     """
     if x <= 0:
         raise ValueError(f"rtilde_ext requires x > 0, got {x}")
@@ -307,12 +311,11 @@ def rtilde_ext(x: float, y: float, z: float, log_scaled: bool = False) -> float 
         raise ValueError(f"rtilde_ext requires y >= 0, got {y}")
     if z <= 0:
         raise ValueError(f"rtilde_ext requires z > 0, got {z}")
-    w = y * (z - 1.0) ** 2 / (2.0 * x)
-    log_value = z * math.log(x) + log_e_partial(z, w)
-    return _promote(log_value, 1, log_scaled)
+    w = reduced_argument(x, y, z)
+    return exp_or_log_scaled(z * math.log(x) + log_e_partial(z, w))
 
 
-def rtilde_series_lower(x: float, y: float, z: float, tol: float = 1e-9) -> SeriesEval:
+def rtilde_series_lower(x: float, y: float, z: float) -> SeriesEval:
     """Extension via the alternating lower-incomplete-gamma series.
 
     x^z e^w (1 - w^z/Gamma(z) * sum_k (-w)^k / ((z+k) k!)), with w as in
@@ -321,7 +324,7 @@ def rtilde_series_lower(x: float, y: float, z: float, tol: float = 1e-9) -> Seri
     """
     if x <= 0 or y < 0 or z <= 0:
         raise ValueError("requires x > 0, y >= 0, z > 0")
-    w = y * (z - 1.0) ** 2 / (2.0 * x)
+    w = reduced_argument(x, y, z)
     xz = x**z
     if w == 0.0:
         return SeriesEval(xz, 0, 0.0, True)
@@ -341,12 +344,12 @@ def rtilde_series_lower(x: float, y: float, z: float, tol: float = 1e-9) -> Seri
     scale = math.exp(z * math.log(w) - math.lgamma(z))
     value = xz * math.exp(w) * (1.0 - scale * total)
     trunc = abs(u) * scale * math.exp(w) * xz
-    floor = _EPS * (peak * scale + 1.0) * math.exp(w) * xz
+    floor = MACHINE_EPS * (peak * scale + 1.0) * math.exp(w) * xz
     tail = trunc + floor
-    return SeriesEval(value, terms, tail, tail <= tol * max(1.0, abs(value)))
+    return SeriesEval(value, terms, tail, tail <= SERIES_FORMS_TOL * max(1.0, abs(value)))
 
 
-def rtilde_series_upper(x: float, y: float, z: float, tol: float = 1e-9) -> SeriesEval:
+def rtilde_series_upper(x: float, y: float, z: float) -> SeriesEval:
     """Extension via the reciprocal-gamma series.
 
     x^z e^w - x^z w^z sum_k w^k / Gamma(z+k+1); positive terms, but the
@@ -354,7 +357,7 @@ def rtilde_series_upper(x: float, y: float, z: float, tol: float = 1e-9) -> Seri
     """
     if x <= 0 or y < 0 or z <= 0:
         raise ValueError("requires x > 0, y >= 0, z > 0")
-    w = y * (z - 1.0) ** 2 / (2.0 * x)
+    w = reduced_argument(x, y, z)
     xz = x**z
     if w == 0.0:
         return SeriesEval(xz, 0, 0.0, True)
@@ -371,9 +374,9 @@ def rtilde_series_upper(x: float, y: float, z: float, tol: float = 1e-9) -> Seri
     wz = math.exp(z * math.log(w))
     value = xz * (math.exp(w) - wz * total)
     trunc = xz * wz * term * 2.0
-    floor = _EPS * xz * math.exp(w) * 2.0
+    floor = MACHINE_EPS * xz * math.exp(w) * 2.0
     tail = trunc + floor
-    return SeriesEval(value, terms, tail, tail <= tol * max(1.0, abs(value)))
+    return SeriesEval(value, terms, tail, tail <= SERIES_FORMS_TOL * max(1.0, abs(value)))
 
 
 def cosh_truncated(n: int, u: float) -> float:
@@ -389,19 +392,15 @@ def cosh_truncated(n: int, u: float) -> float:
     return total
 
 
-def gaussian_expectation(y: float, n: int, nodes: int | None = None) -> float:
+def gaussian_expectation(y: float, n: int) -> float:
     """E[2cosh_{2(n-1)}((n-1) sqrt(y) X)] for standard normal X.
 
     Equals the closed form e_{n-1}(y (n-1)^2 / 2); the integrand is a
-    polynomial of degree 2(n-1), so any rule with nodes >= n is exact.
+    polynomial of degree 2(n-1), so the rule of max(n, 20) nodes is exact.
     """
     if y <= 0:
         raise ValueError(f"y must be > 0, got {y}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if nodes is None:
-        nodes = max(n, 20)
-    if nodes < n:
-        raise ValueError(f"need nodes >= n for exactness, got nodes={nodes} < n={n}")
     scale = (n - 1) * math.sqrt(y)
-    return gauss_hermite(lambda t: cosh_truncated(n - 1, scale * t), nodes)
+    return gauss_hermite(lambda t: cosh_truncated(n - 1, scale * t), max(n, 20))

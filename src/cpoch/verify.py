@@ -590,8 +590,8 @@ def _suite_analogue1(tol_scale: float) -> list[CaseResult]:
     for n in range(1, 13):
         for x in (0.5, 1.0, 2.0):
             for y in (0.5, 1.0, 2.0):
-                lo = rtilde_series_lower(x, y, float(n), tol=1e-9)
-                hi = rtilde_series_upper(x, y, float(n), tol=1e-9)
+                lo = rtilde_series_lower(x, y, float(n))
+                hi = rtilde_series_upper(x, y, float(n))
                 if lo.converged and hi.converged:
                     compared += 1
                     worst = max(worst, abs(lo.value - hi.value) / max(1.0, abs(hi.value)))

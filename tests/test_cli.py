@@ -35,6 +35,24 @@ class TestEval:
         assert result.exit_code == 0
         assert len(result.output.split()) == 2  # sign + log magnitude
 
+    # stdout of --log-scaled for values inside the binary64 range
+    @pytest.mark.parametrize("args, output", [
+        (["rho", "--x", "2", "--y", "0.5", "--z", "4.5"], "1 4.4730768104414\n"),
+        (["rtilde-ext", "--x", "2", "--y", "1", "--z", "12.5"], "1 30.567369407713635\n"),
+        (["r-cont", "--x", "3", "--y", "2", "--z", "40.5"], "1 142.22745483177471\n"),
+        (["gamma-y", "--x", "3", "--y", "2"], "1 0.22579135264472749\n"),
+    ])
+    def test_log_scaled_bytes(self, runner, args, output):
+        result = runner.invoke(main, ["eval", *args, "--log-scaled"])
+        assert result.exit_code == 0
+        assert result.stdout == output
+
+    def test_overflowing_reduced_argument_is_log_scaled(self, runner):
+        result = runner.invoke(main, ["eval", "rtilde-ext", "--x", "1e300", "--y", "1e300",
+                                      "--z", "1e6"])
+        assert result.exit_code == 0
+        assert result.stdout == "1 704897868.32656372\n"
+
     def test_discrete_pochhammer(self, runner):
         result = runner.invoke(main, ["eval", "r", "--x", "1", "--y", "2", "--z", "3"])
         assert result.exit_code == 0
@@ -81,6 +99,7 @@ class TestEval:
     @pytest.mark.parametrize("args", [
         ["nu", "--x", "800"],
         ["rho", "--x", "1", "--y", "1", "--z", "100"],
+        ["rho", "--x", "1e300", "--y", "1e300", "--z", "1e6"],
     ])
     def test_overflow_is_numerical_failure(self, runner, args):
         result = runner.invoke(main, ["eval", *args])

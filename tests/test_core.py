@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpoch.core import EULER_GAMMA, LogScaled, zeta, zeta_hat
+from cpoch.core import (
+    EULER_GAMMA,
+    LOG_SCALED_FROM,
+    LogScaled,
+    exp_or_log_scaled,
+    reduced_argument,
+    zeta,
+    zeta_hat,
+)
 
 
 class TestZeta:
@@ -93,6 +101,22 @@ class TestLogScaled:
         with pytest.raises(OverflowError):
             big.to_float()
         assert (big * big).log_magnitude == 1600.0
+
+
+class TestOverflowRule:
+    def test_threshold(self):
+        assert exp_or_log_scaled(LOG_SCALED_FROM) == math.exp(LOG_SCALED_FROM)
+        above = math.nextafter(LOG_SCALED_FROM, math.inf)
+        assert exp_or_log_scaled(above) == LogScaled(1, above)
+        assert exp_or_log_scaled(-3.0) == math.exp(-3.0)
+
+    @given(st.floats(1e-3, 1e3), st.floats(0.0, 1e3), st.floats(0.0, 1e3))
+    @settings(max_examples=200)
+    def test_reduced_argument_keeps_the_plain_bits(self, x, y, z):
+        assert reduced_argument(x, y, z) == y * (z - 1.0) ** 2 / (2.0 * x)
+
+    def test_reduced_argument_past_an_overflowing_numerator(self):
+        assert reduced_argument(1e300, 1e300, 1e6) == 0.5 * (1e6 - 1.0) ** 2
 
 
 rationals = st.fractions(

@@ -6,6 +6,7 @@ import pytest
 from cpoch.core import EULER_GAMMA, zeta
 from cpoch.recip_gamma import (
     TABLE_ORDER,
+    _table,
     c_composition_oracle,
     c_table,
     recip_gamma_series,
@@ -50,6 +51,11 @@ class TestCoefficients:
     def test_shorter_table_is_prefix(self):
         # every coefficient is correctly rounded, so the order only truncates
         assert c_table(80) == c_table()[:81]
+
+    @pytest.mark.parametrize("n_max", [-1, TABLE_ORDER + 1])
+    def test_order_outside_the_table_rejected(self, n_max):
+        with pytest.raises(ValueError):
+            c_table(n_max)
 
     def test_composition_budget_guard(self):
         with pytest.raises(ValueError):
@@ -140,11 +146,17 @@ class TestWeightedCache:
 
 
 class TestOneTable:
+    def test_every_order_builds_one_table(self):
+        _table.cache_clear()
+        assert c_table() == c_table(TABLE_ORDER)
+        assert c_table(5) == c_table()[:6]
+        assert _table.cache_info().misses == 1
+
     def test_verify_builds_one_table(self):
-        c_table.cache_clear()
+        _table.cache_clear()
         weighted_series_coeffs.cache_clear()
         assert run_suite("all").passed
-        assert c_table.cache_info().currsize == 1
+        assert _table.cache_info().misses == 1
 
 
 # Bits of the coefficient layer; a change to any returned float fails here.

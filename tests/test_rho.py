@@ -130,7 +130,6 @@ class TestMu:
 class TestRho:
     def test_boundary_value(self):
         assert rho(1.3, 0.7, 1.0) == 0.0
-        assert rho(1.3, 0.7, 1.0, log_scaled=True).sign == 0
 
     def test_argument_map(self):
         assert rho(1.0, 1.0, 2.0, 1e-12) == pytest.approx(
@@ -150,10 +149,19 @@ class TestRho:
             assert rho(x, y, z, 1e-11) == pytest.approx(expected, rel=1e-8)
 
     def test_log_scaled(self):
-        plain = rho(2.0, 1.0, 5.0, 1e-11)
-        scaled = rho(2.0, 1.0, 5.0, 1e-11, log_scaled=True)
-        assert isinstance(scaled, LogScaled)
-        assert scaled.to_float() == pytest.approx(plain, rel=1e-10)
+        # x^z = e^736.8 leaves binary64; rho comes back log-scaled
+        x, y, z = 1e4, 3.2, 80.0
+        scaled = rho(x, y, z, 1e-11)
+        assert isinstance(scaled, LogScaled) and scaled.sign == 1
+        w = y * (z - 1.0) ** 2 / (2.0 * x)
+        expected = z * math.log(x) + math.log(E_quadrature(w, z - 1.0, 1e-12))
+        assert scaled.log_magnitude == pytest.approx(expected, rel=1e-13)
+
+    def test_overflowing_reduced_argument(self):
+        # y (z-1)^2 overflows although w = 5e11 does not; E's segments then
+        # leave binary64, an OverflowError the CLI reports as exit 3
+        with pytest.raises(OverflowError):
+            rho(1e300, 1e300, 1e6)
 
     @pytest.mark.parametrize("x, y, z, value", RHO_PINNED)
     def test_pinned_bits(self, x, y, z, value):
@@ -165,8 +173,6 @@ class TestRho:
         # 30-digit quadrature oracle)
         with pytest.raises(ConvergenceError):
             rho(23681.166079424744, 1.1231528383600349, 26.82961228779542, 1e-10)
-        with pytest.raises(ConvergenceError):
-            rho(23681.166079424744, 1.1231528383600349, 26.82961228779542, 1e-10, log_scaled=True)
 
     def test_domain(self):
         with pytest.raises(ValueError):

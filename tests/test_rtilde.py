@@ -208,15 +208,25 @@ class TestEvaluations:
 
     def test_log_scaled_matches_plain(self):
         plain = rtilde_closed(1.5, 2.0, 8)
-        scaled = rtilde_closed(1.5, 2.0, 8, log_scaled=True)
-        assert scaled.to_float() == pytest.approx(plain, rel=1e-12)
         poly_scaled = rtilde_poly(1.5, 2.0, 8, log_scaled=True)
         assert poly_scaled.to_float() == pytest.approx(plain, rel=1e-11)
 
     def test_log_scaled_beyond_overflow(self):
-        big = rtilde_closed(10.0, 2.0, 400, log_scaled=True)
-        assert isinstance(big, LogScaled)
+        # 10**400 overflows: the closed form sums in logs, as the polynomial does
+        big = rtilde_closed(10, 2, 400)
+        assert isinstance(big, LogScaled) and big.sign == 1
         assert big.log_magnitude > 710.0
+        assert big.log_magnitude == pytest.approx(rtilde_poly(10, 2, 400).log_magnitude, rel=1e-13)
+
+    def test_closed_overflow_without_log_form(self):
+        # a negative x has no log-scaled form; leaving binary64 is an error
+        with pytest.raises(OverflowError):
+            rtilde_closed(-10.0, 2.0, 400)
+
+    def test_ext_overflowing_reduced_argument(self):
+        # y (z-1)^2 overflows although w = 5e11 does not; 50-digit mpmath
+        # gives 704897868.32656376
+        assert rtilde_ext(1e300, 1e300, 1e6) == LogScaled(1, 704897868.3265637)
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
@@ -243,7 +253,7 @@ class TestSeriesForms:
 
     def test_cancellation_is_flagged(self):
         # far outside the double-precision window the flags must come back off
-        lo = rtilde_series_lower(0.5, 2.0, 12.0, tol=1e-9)
+        lo = rtilde_series_lower(0.5, 2.0, 12.0)
         assert not lo.converged
 
 
@@ -270,10 +280,6 @@ class TestGaussianExpectation:
             rtilde_closed(1.0, 0.7, 6), rel=1e-9
         )
 
-    def test_node_guard(self):
-        with pytest.raises(ValueError):
-            gaussian_expectation(1.0, 10, nodes=5)
-
     def test_cosh_truncated(self):
         assert cosh_truncated(0, 3.0) == 1.0
         assert cosh_truncated(1, 2.0) == 3.0
@@ -287,11 +293,11 @@ class TestLimitsAndAsymptotics:
         verify_cases.check("analogue1/reduced_limit_to_exp")
 
     def test_reduced_limit_matches_scaled_triangle(self):
-        # the algebraic reduction agrees with the log-scaled direct evaluation
+        # the algebraic reduction agrees with the direct evaluation, in logs
         n, y = 30, 1.0
-        direct = rtilde_closed((n - 1) ** 2.0, 2.0 * y, n, log_scaled=True)
+        direct = rtilde_closed((n - 1) ** 2.0, 2.0 * y, n)
         reduced = math.log(e_partial_sum(n, y)) + 2.0 * n * math.log(n - 1.0)
-        assert direct.log_magnitude == pytest.approx(reduced, rel=1e-13)
+        assert math.log(direct) == pytest.approx(reduced, rel=1e-13)
 
     def test_trend_fixed_y(self, verify_cases):
         verify_cases.check("analogue1/asymptote_trend_a")
