@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 __all__ = [
@@ -34,9 +35,17 @@ def pochhammer_discrete(x, y, n: int):
     """r(x, y, n) = prod_{l=0}^{n-1} (x + l*y); exact for exact inputs.
 
     Works uniformly on int, Fraction and float operands; r(x, y, 0) = 1.
+    Two Fractions x = a/b, y = c/d give prod_l (a d + l b c) / (b d)^n,
+    normalized once instead of at every factor.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        ad, bc = x.numerator * y.denominator, x.denominator * y.numerator
+        numerator = 1
+        for l in range(n):
+            numerator *= ad + l * bc
+        return Fraction(numerator, (x.denominator * y.denominator) ** n)
     result = x**0  # multiplicative identity of the operand type
     for l in range(n):
         result = result * (x + l * y)

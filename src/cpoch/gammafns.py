@@ -8,7 +8,8 @@ r(x, y, z) = y^z Gamma(x/y + z) / Gamma(x/y).
 Q is evaluated by the lower power series for x <= z + 1 and by a modified
 Lentz continued fraction for x > z + 1, the standard numerically stable
 split.  Gamma itself is the platform libm implementation (accurate to a few
-ulp on (0, 171.62]) with a log-space fallback beyond overflow.
+ulp on (0, 171.62]), LogScaled from z ~ 171.43 on and where the float
+overflows near 0.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "pochhammer_continuous",
 ]
 
-#: Largest z for which Gamma(z) fits in binary64.
+#: Largest z for which Gamma(z) fits in binary64; guards math.gamma in gamma_y.
 GAMMA_OVERFLOW_Z = 171.624
 
 #: Gamma(z) ~ 1/z exceeds binary64 for 0 < z <= this (about 5.56e-309).
@@ -43,13 +44,14 @@ _TINY = 1e-300
 
 
 def gamma(z: float) -> float | LogScaled:
-    """Gamma(z) for z > 0; LogScaled where the value exceeds binary64 range
-    (z near 0 or past ~171.6)."""
+    """Gamma(z) for z > 0; LogScaled for z <= ``GAMMA_TINY_Z``, where the
+    float overflows, and past ~171.43 by the rule of ``cpoch.core``."""
     if z <= 0:
         raise ValueError(f"gamma requires z > 0, got {z}")
-    if GAMMA_TINY_Z < z < GAMMA_OVERFLOW_Z:
-        return math.gamma(z)
-    return LogScaled(1, math.lgamma(z))
+    log_value = math.lgamma(z)
+    if z <= GAMMA_TINY_Z or (z > 1.0 and log_value > LOG_SCALED_FROM):
+        return LogScaled(1, log_value)
+    return math.gamma(z)
 
 
 @lru_cache(maxsize=1)

@@ -3,6 +3,9 @@
 Adaptive 1-D quadrature (Gauss-Kronrod via scipy's QUADPACK bindings),
 Gauss-Hermite rules normalized for the standard normal weight, and the
 nested fixed-rule recursion over ordered simplices.
+
+scipy and numpy are imported on first use, inside the functions that need
+them, so that importing cpoch for its exact layer does not load them.
 """
 
 from __future__ import annotations
@@ -11,9 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
-
-import numpy as np
-from scipy import integrate
 
 from .core import ConvergenceError
 
@@ -63,6 +63,8 @@ def integrate_adaptive(request: QuadratureRequest) -> tuple[float, float]:
     """
     if request.lower == request.upper:
         return 0.0, 0.0
+    from scipy import integrate
+
     out = integrate.quad(
         request.integrand,
         request.lower,
@@ -84,6 +86,8 @@ def integrate_adaptive(request: QuadratureRequest) -> tuple[float, float]:
 
 @lru_cache(maxsize=None)
 def _hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    import numpy as np
+
     x, w = np.polynomial.hermite.hermgauss(nodes)
     # hermgauss targets weight exp(-x^2); rescale for the standard normal:
     # E[f(X)] = sum w_i f(sqrt(2) x_i) / sqrt(pi).
@@ -105,6 +109,8 @@ def gauss_hermite(f: Callable[[float], float], nodes: int) -> float:
 
 @lru_cache(maxsize=None)
 def _legendre_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(nodes)
     return tuple(map(float, x)), tuple(map(float, w))
 

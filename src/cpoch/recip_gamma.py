@@ -17,7 +17,8 @@ shorter table is a prefix of a longer one.  Run naively in doubles it
 hits an absolute noise floor near 1e-19 from n ~ 26 on (the true
 coefficients fall below 1e-80 by n = 80, while the head terms
 zeta(n+1) c_0 ~ 1 must cancel), and t^n amplification then destroys every
-evaluation near the edge of the window.
+evaluation near the edge of the window.  That build is the only use of
+mpmath, which is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-
-import mpmath as mp
 
 from .core import MACHINE_EPS, SeriesEval, zeta_hat
 from .discrete import _compositions
@@ -58,6 +57,8 @@ _WEIGHTED_CACHE_SIZE = 64
 @lru_cache(maxsize=1)
 def _table() -> tuple[float, ...]:
     """c_0 .. c_{TABLE_ORDER}, built once per process, each correctly rounded."""
+    import mpmath as mp
+
     with mp.workdps(30 + TABLE_ORDER):
         zh = [mp.mpf(0), +mp.euler] + [mp.zeta(k) for k in range(2, TABLE_ORDER + 2)]
         coeffs = [mp.mpf(1)]

@@ -49,6 +49,10 @@ __all__ = [
 RTILDE_MAX_N = 48
 MOBIUS_ORACLE_MAX_N = 12
 
+#: Largest order rtilde_poly takes: its row builds n + 1 exact coefficients
+#: with numerators up to (n-1)^(2n), 0.25 s at n = 1000 (2-vCPU VM).
+RTILDE_POLY_MAX_N = 1000
+
 _MAX_TERMS = 4000
 SERIES_FORMS_TOL = 1e-9  # relative; behind the converged flag of both series forms
 
@@ -230,8 +234,8 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
     The plain form sums floats; where a coefficient, a power or the sum
     leaves the binary64 range it returns the log-scaled sum instead.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= n <= RTILDE_POLY_MAX_N:
+        raise ValueError(f"n must lie in [0, {RTILDE_POLY_MAX_N}], got {n}")
     row = _poly_row(n)
     if not log_scaled:
         total = 0.0

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
-
 from .core import EULER_GAMMA
 from .discrete import (
     _compositions,
@@ -202,6 +200,8 @@ def _central_diff(f, x, h=_FD_STEP):
 
 def _E_oracle(x: float, z: float) -> float:
     """E(x, z) = int_0^z x^t / Gamma(t+1) dt by mpmath.quad, split at the integers."""
+    import mpmath as mp
+
     with mp.workdps(ORACLE_DPS):
         x, z = mp.mpf(x), mp.mpf(z)
         nodes = [mp.mpf(k) for k in range(int(mp.ceil(z)))] + [z]
@@ -210,6 +210,8 @@ def _E_oracle(x: float, z: float) -> float:
 
 def _rho_oracle(x: float, y: float, z: float) -> float:
     """rho(x, y, z) = x^z E(y (z-1)^2 / 2x, z - 1), E by ``_E_oracle``."""
+    import mpmath as mp
+
     with mp.workdps(ORACLE_DPS):
         x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
         return float(x**z * _E_oracle(y * (z - 1) ** 2 / (2 * x), z - 1))

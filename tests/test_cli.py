@@ -96,6 +96,12 @@ class TestEval:
         result = runner.invoke(main, ["eval", "gamma", "--z", "-1"])
         assert result.exit_code == 2
 
+    def test_rtilde_order_beyond_bound_is_usage_error(self, runner):
+        # the coefficient row alone would take minutes to build
+        result = runner.invoke(main, ["eval", "rtilde", "--x", "1e300", "--y", "1e300",
+                                      "--z", "1e6"])
+        assert result.exit_code == 2
+
     @pytest.mark.parametrize("args", [
         ["nu", "--x", "800"],
         ["rho", "--x", "1", "--y", "1", "--z", "100"],

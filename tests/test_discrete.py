@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,32 @@ class TestPochhammerDiscrete:
     @settings(max_examples=100)
     def test_homogeneity(self, a, x, y, n):
         assert pochhammer_discrete(a * x, a * y, n) == a**n * pochhammer_discrete(x, y, n)
+
+    def test_fraction_product_matches_per_factor_product(self):
+        # one normalization at the end against one at every factor
+        def per_factor(x, y, n):
+            result = Fraction(1)
+            for l in range(n):
+                result *= x + l * y
+            return result
+
+        rng = random.Random(20240118)
+        cases = [(Fraction(-3, 4), Fraction(1, 4), 6),  # x = -3y: a zero factor
+                 (Fraction(6, 5), Fraction(-2, 5), 9),
+                 (Fraction(-7, 3), Fraction(-5, 6), 0)]
+        for _ in range(300):
+            x = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+            y = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+            cases.append((x, y, rng.randint(0, 30)))
+        for x, y, n in cases:
+            got, want = pochhammer_discrete(x, y, n), per_factor(x, y, n)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_mixed_operands_keep_their_result_type(self):
+        assert type(pochhammer_discrete(1, Fraction(1, 2), 0)) is int
+        assert type(pochhammer_discrete(1, Fraction(1, 2), 3)) is Fraction
+        assert type(pochhammer_discrete(Fraction(1, 2), 0.5, 3)) is float
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):

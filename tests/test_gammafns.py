@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpoch.core import LogScaled
+from cpoch.core import LOG_SCALED_FROM, LogScaled
 from cpoch.gammafns import (
     e_partial,
     e_partial_sum,
@@ -44,6 +44,15 @@ class TestGamma:
         assert isinstance(result, LogScaled)
         assert result.sign == 1
         assert abs(result.log_magnitude - stirling_log_gamma(200.0)) <= 1e-12 * result.log_magnitude
+
+    @pytest.mark.parametrize("z,log_scaled", [(171.4, False), (171.5, True), (171.6, True)])
+    def test_switches_where_log_gamma_passes_the_core_threshold(self, z, log_scaled):
+        # ln Gamma passes LOG_SCALED_FROM at z ~ 171.43, short of the overflow at 171.62
+        assert (math.lgamma(z) > LOG_SCALED_FROM) == log_scaled
+        expected = LogScaled(1, math.lgamma(z)) if log_scaled else math.gamma(z)
+        assert gamma(z) == expected
+        assert gamma_y(1.0, z) == expected
+        assert isinstance(gamma_y(1.0000001, z), LogScaled) == log_scaled
 
     def test_near_zero_switches_to_log_scale(self):
         # Gamma(z) ~ 1/z exceeds binary64 for z <= 1/DBL_MAX ~ 5.56e-309

@@ -1,0 +1,52 @@
+"""The import graph: scipy, numpy and mpmath load only where they are used.
+
+Each check runs in a fresh interpreter, so modules this test session has
+already imported cannot leak into ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cpoch
+
+HEAVY = ("mpmath", "numpy", "scipy")
+SRC = str(Path(cpoch.__file__).resolve().parent.parent)
+
+CLI = "from click.testing import CliRunner\nfrom cpoch.cli import main\n"
+
+
+def _heavy_loaded_after(code: str) -> list[str]:
+    """The heavy packages in sys.modules after a fresh interpreter runs code."""
+    report = f"\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    paths = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", code + report], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("code", [
+    "import cpoch",
+    "import cpoch.cli",
+    CLI + "assert CliRunner().invoke(main, ['eval', 'gamma', '--z', '3']).output == '2\\n'",
+    CLI + "assert CliRunner().invoke(main, ['table', 'rtilde', '--max-n', '10']).exit_code == 0",
+    "from fractions import Fraction\n"
+    "from cpoch import pochhammer_discrete, rtilde_triangle\n"
+    "rtilde_triangle(48)\n"
+    "assert pochhammer_discrete(Fraction(1, 3), Fraction(2, 5), 7) > 0",
+], ids=["import_cpoch", "import_cli", "eval_gamma", "table_rtilde", "exact_layer"])
+def test_exact_layer_and_cold_cli_load_none(code):
+    assert _heavy_loaded_after(code) == []
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("from cpoch import E_quadrature\nE_quadrature(2.0, 5.0)", "scipy"),
+    ("from cpoch import c_table\nc_table()", "mpmath"),
+], ids=["E_quadrature", "c_table"])
+def test_first_use_loads_the_package(code, loaded):
+    assert loaded in _heavy_loaded_after(code)

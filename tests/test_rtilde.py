@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cpoch.core import LogScaled
 from cpoch.gammafns import e_partial_sum
 from cpoch.rtilde import (
+    RTILDE_POLY_MAX_N,
     _POLY_ROW_CACHE_SIZE,
     _poly_row,
     cosh_truncated,
@@ -235,6 +236,8 @@ class TestEvaluations:
             rtilde_ext(-1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             rtilde_ext(1.0, -0.5, 2.0)
+        with pytest.raises(ValueError):
+            rtilde_poly(1.0, 1.0, RTILDE_POLY_MAX_N + 1)
 
 
 class TestSeriesForms:
