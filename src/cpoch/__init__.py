@@ -29,7 +29,6 @@ from .discrete import (
 )
 from .gammafns import (
     e_partial,
-    e_partial_gamma,
     e_partial_sum,
     gamma,
     gamma_minimum,

@@ -192,15 +192,11 @@ def table_command(kind, max_n, fmt):
 @click.option("--suite", default="all",
               type=click.Choice(("all",) + SUITE_NAMES, case_sensitive=True),
               show_default=True)
-@click.option("--tol-scale", "tol_scale", type=float, default=1.0, show_default=True,
-              help="multiplies every case tolerance")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def verify_command(suite, tol_scale, fmt):
+def verify_command(suite, fmt):
     """Run the named property suite; exit 0 only if every case passes."""
-    if tol_scale <= 0:
-        raise click.UsageError("--tol-scale must be positive")
-    report = run_suite(suite, tol_scale)
+    report = run_suite(suite)
     if fmt == "csv":
         click.echo("suite,case,inputs,expected,actual,residual,pass")
         for c in report.cases:

@@ -8,8 +8,12 @@ r(x, y, z) = y^z Gamma(x/y + z) / Gamma(x/y).
 Q is evaluated by the lower power series for x <= z + 1 and by a modified
 Lentz continued fraction for x > z + 1, the standard numerically stable
 split.  Gamma itself is the platform libm implementation (accurate to a few
-ulp on (0, 171.62]), LogScaled from z ~ 171.43 on and where the float
-overflows near 0.
+ulp on (0, 171.62]).
+
+Gamma, Gamma_y and the continuous Pochhammer return ``float | LogScaled``
+by the one rule of ``cpoch.core``: a value whose natural log exceeds
+``LOG_SCALED_FROM`` is a ``LogScaled``, any other a float.  For Gamma that
+means LogScaled from z ~ 171.43 on and for 0 < z < ~1.512e-308.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "log_e_partial",
     "e_partial",
     "e_partial_sum",
-    "e_partial_gamma",
     "gamma_y",
     "pochhammer_continuous",
 ]
@@ -35,7 +38,8 @@ __all__ = [
 #: Largest z for which Gamma(z) fits in binary64; guards math.gamma in gamma_y.
 GAMMA_OVERFLOW_Z = 171.624
 
-#: Gamma(z) ~ 1/z exceeds binary64 for 0 < z <= this (about 5.56e-309).
+#: Gamma(z) ~ 1/z exceeds binary64 for 0 < z <= this (about 5.56e-309); guards
+#: math.gamma in gamma_y.
 GAMMA_TINY_Z = 1.0 / sys.float_info.max
 
 _MAX_SERIES_TERMS = 10_000
@@ -44,12 +48,12 @@ _TINY = 1e-300
 
 
 def gamma(z: float) -> float | LogScaled:
-    """Gamma(z) for z > 0; LogScaled for z <= ``GAMMA_TINY_Z``, where the
-    float overflows, and past ~171.43 by the rule of ``cpoch.core``."""
+    """Gamma(z) for z > 0; LogScaled where ln Gamma(z) exceeds
+    ``LOG_SCALED_FROM`` (the rule of ``cpoch.core``), else a float."""
     if z <= 0:
         raise ValueError(f"gamma requires z > 0, got {z}")
     log_value = math.lgamma(z)
-    if z <= GAMMA_TINY_Z or (z > 1.0 and log_value > LOG_SCALED_FROM):
+    if log_value > LOG_SCALED_FROM:
         return LogScaled(1, log_value)
     return math.gamma(z)
 
@@ -188,11 +192,6 @@ def e_partial_sum(n: int, x: float) -> float:
     return total
 
 
-def e_partial_gamma(z: float, x: float) -> float:
-    """e_{z-1}(x) through the incomplete-gamma route e^x Q(z, x)."""
-    return math.exp(log_e_partial(z, x))
-
-
 def e_partial(z: float, x: float) -> float:
     """Partial exponential of real order: e_{z-1}(x) = e^x Gamma(z, x) / Gamma(z).
 
@@ -205,7 +204,7 @@ def e_partial(z: float, x: float) -> float:
         raise ValueError(f"e_partial requires x >= 0, got {x}")
     if z == int(z):
         return e_partial_sum(int(z), x)
-    return e_partial_gamma(z, x)
+    return math.exp(log_e_partial(z, x))
 
 
 def gamma_y(y: float, x: float) -> float | LogScaled:
@@ -219,8 +218,6 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
         raise ValueError(f"gamma_y requires y > 0, got {y}")
     if x <= 0:
         raise ValueError(f"gamma_y requires x > 0, got {x}")
-    if y == 1.0:
-        return gamma(x)
     a = x / y
     exponent = a - 1.0
     log_value = exponent * math.log(y) + math.lgamma(a)

@@ -1,8 +1,19 @@
-"""Numerical integration services used as independent oracles.
+"""Numerical integration services: production paths and verification oracles.
 
-Adaptive 1-D quadrature (Gauss-Kronrod via scipy's QUADPACK bindings),
-Gauss-Hermite rules normalized for the standard normal weight, and the
-nested fixed-rule recursion over ordered simplices.
+* ``integrate_adaptive`` -- adaptive 1-D quadrature (Gauss-Kronrod via
+  scipy's QUADPACK bindings).  The production path of ``E_quadrature``,
+  ``nu`` and ``mu_function`` in ``cpoch.rho``, behind ``cpoch eval E/nu/mu``.
+  ``cpoch.verify`` uses it as an oracle: through ``E_quadrature`` against
+  ``E_series``, and directly in ``mu_cutoff_consistency``.
+* ``_legendre_rule`` -- cached Gauss-Legendre nodes.  The 24-node rule is
+  on the production path of ``E_series`` (behind ``rho``); the 10-node rule
+  serves ``integrate_simplex``.
+* ``gauss_hermite`` -- Gauss-Hermite rules normalized for the standard
+  normal weight; the path of ``rtilde.gaussian_expectation``, an
+  alternative form of rtilde that verify checks against ``rtilde_closed``.
+* ``integrate_simplex`` -- the nested fixed-rule recursion over ordered
+  simplices; an oracle only, for the closed-form simplex volumes and
+  moments of ``cpoch.discrete`` in verify's discrete suite.
 
 scipy and numpy are imported on first use, inside the functions that need
 them, so that importing cpoch for its exact layer does not load them.

@@ -60,9 +60,7 @@ _SEGMENT_RULE_NODES = 24  # Gauss-Legendre per unit subinterval
 
 def e_integrand(x: float, t: float) -> float:
     """x^t / Gamma(t+1) for x > 0, t >= 0."""
-    return math.exp(t * math.log(x) - math.lgamma(t + 1.0)) if x != 1.0 else math.exp(
-        -math.lgamma(t + 1.0)
-    )
+    return math.exp(t * math.log(x) - math.lgamma(t + 1.0))
 
 
 def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:

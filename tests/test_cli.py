@@ -241,9 +241,5 @@ class TestVerify:
             )
         assert by_name["analogue2/linear_envelope_sign_corrected"]["pass"]
 
-    def test_tol_scale_loosens(self, runner):
-        result = runner.invoke(main, ["verify", "--suite", "recip", "--tol-scale", "100"])
-        assert result.exit_code == 0
-
     def test_bad_suite_rejected(self, runner):
         assert runner.invoke(main, ["verify", "--suite", "bogus"]).exit_code == 2

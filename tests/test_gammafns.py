@@ -59,7 +59,14 @@ class TestGamma:
         result = gamma(1e-320)
         assert isinstance(result, LogScaled)
         assert (result.sign, result.log_magnitude) == (1, math.lgamma(1e-320))
-        assert gamma(5.6e-309) == math.gamma(5.6e-309)
+        # ln Gamma(z) ~ -ln z passes LOG_SCALED_FROM below z ~ 1.512e-308,
+        # before the float overflows: the rule of cpoch.core, as at z ~ 171.43
+        for z, log_scaled in ((5.6e-309, True), (1.5e-308, True), (1.52e-308, False)):
+            assert (math.lgamma(z) > LOG_SCALED_FROM) == log_scaled
+            expected = LogScaled(1, math.lgamma(z)) if log_scaled else math.gamma(z)
+            assert gamma(z) == expected
+            assert gamma_y(1.0, z) == expected
+            assert type(gamma_y(1.0, z)) is type(gamma_y(1.0000001, z)) is type(expected)
 
     @pytest.mark.parametrize("z", GAMMA_RECURRENCE_Z)
     def test_recurrence(self, verify_cases, z):

@@ -3,7 +3,9 @@
 A correct program passes the three ``*_as_stated`` cases; a program whose E
 or rho is off fails them, although the published bounds are refuted either
 way.  A wrong groupoid recurrence, which now also builds St, fails the cases
-that judge it against the forward-substitution oracle.
+that judge it against the forward-substitution oracle.  Cases that walk the
+same grid share its values, so each rho, groupoid cell and partial sum is
+computed once.
 """
 
 from dataclasses import replace
@@ -60,3 +62,21 @@ def test_groupoid_recurrence_error_fails_oracle_cases(monkeypatch):
     verdicts = {c.case_id: c.passed for c in run_suite("analogue1").cases}
     assert not verdicts["groupoid_identity"]
     assert not verdicts["st_vs_forward_substitution"]
+
+
+@pytest.mark.parametrize("suite,name,calls", [
+    ("analogue2", "rho", 272),
+    ("analogue1", "groupoid_cardinalities", 325),
+    ("kernel", "e_partial_sum", 150),
+])
+def test_each_grid_value_computed_once(monkeypatch, suite, name, calls):
+    exact = getattr(cpoch.verify, name)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(cpoch.verify, name, counted)
+    run_suite(suite)
+    assert len(seen) == calls
