@@ -5,18 +5,22 @@
   ``nu`` and ``mu_function`` in ``cpoch.rho``, behind ``cpoch eval E/nu/mu``.
   ``cpoch.verify`` uses it as an oracle: through ``E_quadrature`` against
   ``E_series``, and directly in ``mu_cutoff_consistency``.
-* ``_legendre_rule`` -- cached Gauss-Legendre nodes.  The 24-node rule is
-  on the production path of ``E_series`` (behind ``rho``); the 10-node rule
-  serves ``integrate_simplex``.
+* ``_LEGENDRE_RULES`` -- the 10- and 24-node Gauss-Legendre rules on
+  [-1, 1].  The 24-node rule is on the production path of ``E_series``
+  (behind ``rho``); the 10-node rule serves ``integrate_simplex``.
 * ``gauss_hermite`` -- Gauss-Hermite rules normalized for the standard
-  normal weight; the path of ``rtilde.gaussian_expectation``, an
-  alternative form of rtilde that verify checks against ``rtilde_closed``.
+  normal weight, built by Newton's method on the Hermite recurrence; the
+  path of ``rtilde.gaussian_expectation``, an alternative form of rtilde
+  that verify checks against ``rtilde_closed``.
 * ``integrate_simplex`` -- the nested fixed-rule recursion over ordered
   simplices; an oracle only, for the closed-form simplex volumes and
   moments of ``cpoch.discrete`` in verify's discrete suite.
 
-scipy and numpy are imported on first use, inside the functions that need
-them, so that importing cpoch for its exact layer does not load them.
+The Legendre rules are float literals, the bits numpy's ``leggauss``
+returns, so ``E_series`` and the values pinned from it do not depend on
+an installed numpy; verify checks them, and the Hermite rules, against a
+40-digit Newton solve.  Only ``integrate_adaptive`` imports anything:
+scipy, on first use, so that ``rho`` and the exact layer do not load it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,36 @@ MAX_HERMITE_NODES = 128
 MAX_SUBDIVISIONS = 200  # QUADPACK interval budget of integrate_adaptive
 SIMPLEX_MAX_DEPTH = 5
 _SIMPLEX_RULE_NODES = 10  # Gauss-Legendre, exact to polynomial degree 19
+_NEWTON_MAX_STEPS = 10  # every Hermite node for 2 <= n <= 128 converges within 7
+
+
+def _mirrored(half_nodes, half_weights):
+    """A rule symmetric about 0, in ascending order, from its positive half."""
+    return tuple(-x for x in reversed(half_nodes)) + half_nodes, half_weights[::-1] + half_weights
+
+
+#: Gauss-Legendre rules on [-1, 1] by node count: the bits of numpy 2.4.6's
+#: ``leggauss``, which are symmetric bit for bit.  The 24-node end weights
+#: are off by up to 1.21e-13 relative (verify's ``recip/gauss_rule_vs_newton``
+#: reports it); the pinned ``E_series`` and ``rho`` bits rest on these.
+_LEGENDRE_RULES = {
+    10: _mirrored(
+        (0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+         0.8650633666889845, 0.9739065285171717),
+        (0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+         0.1494513491505804, 0.06667134430868814),
+    ),
+    24: _mirrored(
+        (0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+         0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+         0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+         0.9382745520027328, 0.9747285559713095, 0.9951872199970213),
+        (0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+         0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+         0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+         0.04427743881741941, 0.02853138862893356, 0.01234122979998869),
+    ),
+}
 
 
 class QuadratureError(ConvergenceError):
@@ -95,16 +129,51 @@ def integrate_adaptive(request: QuadratureRequest) -> tuple[float, float]:
     return value, abserr
 
 
+def _hermite_values(n: int, t: float) -> tuple[float, float]:
+    """(p_{n-1}(t), p_n(t)), Hermite polynomials orthonormal for the standard normal law."""
+    prev, cur = 0.0, 1.0
+    for j in range(1, n + 1):
+        prev, cur = cur, (t * cur - math.sqrt(j - 1) * prev) / math.sqrt(j)
+    return prev, cur
+
+
 @lru_cache(maxsize=None)
 def _hermite_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    import numpy as np
+    """Nodes (ascending) and weights of the n-node rule for the standard normal law.
 
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    # hermgauss targets weight exp(-x^2); rescale for the standard normal:
-    # E[f(X)] = sum w_i f(sqrt(2) x_i) / sqrt(pi).
-    points = tuple(float(math.sqrt(2.0) * xi) for xi in x)
-    weights = tuple(float(wi / math.sqrt(math.pi)) for wi in w)
-    return points, weights
+    Newton's method on p_n, with p_n' = sqrt(n) p_{n-1}; the weight at a
+    node is 1 / (n p_{n-1}^2) (Golub & Welsch, Math. Comp. 23, 1969).  The
+    positive nodes are found from the largest down, from the asymptotic
+    initial guesses of Numerical Recipes' ``gauher`` scaled by sqrt(2) to
+    this weight; the rule is mirrored from them.
+    """
+    n = nodes
+    found: list[float] = []
+    weights: list[float] = []
+    for i in range((n + 1) // 2):
+        if i == 0:
+            t = math.sqrt(2.0) * (math.sqrt(2 * n + 1) - 1.85575 * (2 * n + 1) ** (-1.0 / 6.0))
+        elif i == 1:
+            t -= 2.28 * n**0.426 / t
+        elif i == 2:
+            t = 1.86 * t - 0.86 * found[0]
+        elif i == 3:
+            t = 1.91 * t - 0.91 * found[1]
+        else:
+            t = 2.0 * t - found[i - 2]
+        for _ in range(_NEWTON_MAX_STEPS):
+            prev, cur = _hermite_values(n, t)
+            step = cur / (math.sqrt(n) * prev)
+            t -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(t)):
+                break
+        prev, _ = _hermite_values(n, t)
+        found.append(t)
+        weights.append(1.0 / (n * prev * prev))
+    # for odd n the last node found is the middle one, at 0
+    mirrored = n // 2
+    points = tuple(-t for t in found) + tuple(reversed(found[:mirrored]))
+    return points, tuple(weights) + tuple(reversed(weights[:mirrored]))
 
 
 def gauss_hermite(f: Callable[[float], float], nodes: int) -> float:
@@ -116,14 +185,6 @@ def gauss_hermite(f: Callable[[float], float], nodes: int) -> float:
         raise ValueError(f"nodes must lie in [2, {MAX_HERMITE_NODES}], got {nodes}")
     points, weights = _hermite_rule(nodes)
     return math.fsum(w * f(t) for t, w in zip(points, weights))
-
-
-@lru_cache(maxsize=None)
-def _legendre_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return tuple(map(float, x)), tuple(map(float, w))
 
 
 def integrate_simplex(k: int, x: float, moment: bool) -> float:
@@ -141,7 +202,7 @@ def integrate_simplex(k: int, x: float, moment: bool) -> float:
         raise ValueError("x must be non-negative")
     if k == 0:
         return 1.0
-    nodes, weights = _legendre_rule(_SIMPLEX_RULE_NODES)
+    nodes, weights = _LEGENDRE_RULES[_SIMPLEX_RULE_NODES]
 
     def layer(depth: int, upper: float) -> float:
         if depth == 0:

@@ -11,14 +11,15 @@ second continuous analogue.
 
 There is one table, c_0 .. c_110 (``TABLE_ORDER``), and every series in
 the package reads it or its shifted form ``weighted_series_coeffs(x)``.
-The recursion is run once at elevated working precision and the results
-rounded to binary64, so each coefficient is correctly rounded and a
-shorter table is a prefix of a longer one.  Run naively in doubles it
-hits an absolute noise floor near 1e-19 from n ~ 26 on (the true
-coefficients fall below 1e-80 by n = 80, while the head terms
-zeta(n+1) c_0 ~ 1 must cancel), and t^n amplification then destroys every
-evaluation near the edge of the window.  That build is the only use of
-mpmath, which is imported there, on first use.
+It is written below as float literals: the recursion run at 140 digits
+and each result rounded to binary64, so each coefficient is correctly
+rounded and a shorter table is a prefix of a longer one.  Run naively in
+doubles the recursion hits an absolute noise floor near 1e-19 from
+n ~ 26 on (the true coefficients fall below 1e-80 by n = 80, while the
+head terms zeta(n+1) c_0 ~ 1 must cancel), and t^n amplification then
+destroys every evaluation near the edge of the window.  The 140-digit
+recursion itself lives in ``cpoch.verify``, as the oracle that the
+literals must match bit for bit.
 """
 
 from __future__ import annotations
@@ -54,27 +55,53 @@ _COMPOSITION_LIMIT = 20
 _WEIGHTED_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=1)
-def _table() -> tuple[float, ...]:
-    """c_0 .. c_{TABLE_ORDER}, built once per process, each correctly rounded."""
-    import mpmath as mp
-
-    with mp.workdps(30 + TABLE_ORDER):
-        zh = [mp.mpf(0), +mp.euler] + [mp.zeta(k) for k in range(2, TABLE_ORDER + 2)]
-        coeffs = [mp.mpf(1)]
-        for n in range(TABLE_ORDER):
-            acc = mp.fsum(
-                (-1) ** k * zh[k + 1] * coeffs[n - k] for k in range(n + 1)
-            )
-            coeffs.append(acc / (n + 1))
-        return tuple(float(c) for c in coeffs)
+#: c_0 .. c_{TABLE_ORDER}, each correctly rounded.
+_TABLE = (
+    1.0,                     0.5772156649015329,      -0.6558780715202539,
+    -0.04200263503409524,    0.16653861138229148,     -0.04219773455554433,
+    -0.009621971527876973,   0.0072189432466631,      -0.0011651675918590652,
+    -0.00021524167411495098, 0.0001280502823881162,   -2.013485478078824e-05,
+    -1.2504934821426706e-06, 1.133027231981696e-06,   -2.056338416977607e-07,
+    6.116095104481416e-09,   5.002007644469223e-09,   -1.18127457048702e-09,
+    1.0434267116911005e-10,  7.782263439905071e-12,   -3.696805618642206e-12,
+    5.100370287454476e-13,   -2.0583260535665066e-14, -5.348122539423018e-15,
+    1.2267786282382608e-15,  -1.1812593016974588e-16, 1.1866922547516004e-18,
+    1.4123806553180319e-18,  -2.29874568443537e-19,   1.7144063219273374e-20,
+    1.337351730493693e-22,   -2.0542335517666728e-22, 2.736030048608e-23,
+    -1.7323564459105165e-24, -2.3606190244992872e-26, 1.8649829417172943e-26,
+    -2.2180956242071973e-27, 1.2977819749479937e-28,  1.1806974749665284e-30,
+    -1.124584349277088e-30,  1.277085175140866e-31,   -7.391451169615141e-33,
+    1.1347502575542158e-35,  4.639134641058722e-35,   -5.3473368184391986e-36,
+    3.2079959236133524e-37,  -4.4458297365507567e-39, -1.3111745188819888e-39,
+    1.647033352543814e-40,   -1.0562331785035812e-41, 2.6784429826430494e-43,
+    2.424715494851783e-44,   -3.7365878345356127e-45, 2.6283329809401953e-46,
+    -9.298175995376887e-48,  -2.3279424186994706e-49, 6.169620835244387e-50,
+    -4.92829558677099e-51,   2.1835131834145106e-52,  -1.2187221891475166e-54,
+    -7.117108841662875e-55,  6.92050405432869e-56,    -3.6764384683566766e-57,
+    8.563098056275654e-59,   4.9630454283668445e-60,  -7.154294577081616e-61,
+    4.551727689088504e-62,   -1.6183993053202943e-63, -3.81804342439995e-66,
+    5.185052411905849e-66,   -4.167136809223921e-67,  1.916290692937389e-68,
+    -3.808928132468366e-70,  -2.206386105592412e-71,  2.7722310960098956e-72,
+    -1.598766047810018e-73,  5.319730780417403e-75,   -8.051746141684239e-78,
+    -1.2484629810263795e-77, 9.643188768399223e-79,   -4.282798048301748e-80,
+    9.508714236903045e-82,   2.7131392138694382e-83,  -4.0968779415069156e-84,
+    2.374298001974016e-85,   -8.277089021007278e-87,  9.072497609426646e-89,
+    1.0645558195026986e-89,  -9.285335619603755e-91,  4.333313592720367e-92,
+    -1.1745606334673316e-93, -2.6908010752365216e-96, 2.389895289203681e-96,
+    -1.5569361182789167e-97, 6.0488748201074135e-99,  -1.2273370571029378e-100,
+    -2.5407388509162387e-102, 3.7708800953170817e-103, -2.0089261677502892e-104,
+    6.615810091144735e-106,  -9.240470202212157e-108, -4.820720186552466e-109,
+    4.4938898756858355e-110, -2.0497789059725778e-111, 5.786277056986693e-113,
+    -4.569674462433439e-115, -5.826736555330375e-116, 4.202538069929734e-117,
+    -1.6889318527713703e-118, 4.1226213324018606e-120, -8.245119659374557e-123,
+)
 
 
 def c_table(n_max: int = TABLE_ORDER) -> tuple[float, ...]:
     """Coefficients c_0 .. c_{n_max} of 1/Gamma(t+1), a prefix of the one table."""
     if not 0 <= n_max <= TABLE_ORDER:
         raise ValueError(f"n_max must lie in [0, {TABLE_ORDER}], got {n_max}")
-    return _table()[: n_max + 1]
+    return _TABLE[: n_max + 1]
 
 
 def c_composition_oracle(n: int) -> float:
@@ -109,7 +136,7 @@ def recip_gamma_series(t: float) -> SeriesEval:
     ``converged`` is withheld outside the validated window |t| <= 3 and when
     the tail or round-off floor exceeds 1e-12 relative to max(1, |value|).
     """
-    coeffs = _table()
+    coeffs = _TABLE
     value = _horner(coeffs, t)
     at = abs(t)
     tail = (abs(coeffs[-1]) * at**TABLE_ORDER * 2.0
@@ -127,7 +154,7 @@ def weighted_series_coeffs(x: float) -> tuple[float, ...]:
     """
     if x <= 0:
         raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")
-    coeffs = _table()
+    coeffs = _TABLE
     if x == 1.0:
         return coeffs
     lx = math.log(x)

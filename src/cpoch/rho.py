@@ -41,7 +41,7 @@ import math
 
 from .core import LOG_SCALED_FROM, MACHINE_EPS, ConvergenceError, LogScaled, SeriesEval
 from .core import reduced_argument
-from .quadrature import QuadratureError, QuadratureRequest, _legendre_rule, integrate_adaptive
+from .quadrature import _LEGENDRE_RULES, QuadratureError, QuadratureRequest, integrate_adaptive
 from .recip_gamma import SERIES_WINDOW, _horner, weighted_series_coeffs
 
 __all__ = [
@@ -97,7 +97,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     trunc = abs(coeffs[-1]) * head ** len(coeffs) * 2.0
     floor = MACHINE_EPS * peak * 8.0
     if z > SERIES_WINDOW:
-        nodes, weights = _legendre_rule(_SEGMENT_RULE_NODES)
+        nodes, weights = _LEGENDRE_RULES[_SEGMENT_RULE_NODES]
         # Each full segment's (u+1)...(u+t0) extends the previous one by a
         # factor, in the order a fresh product takes, so the floats match it.
         full_u = [0.5 * (node + 1.0) for node in nodes]

@@ -4,7 +4,10 @@ This module is the one definition of every property check: the tests look
 its cases up by ``suite/case_id`` instead of restating them.  Each suite
 re-checks the identities, recursions, bounds and asymptotic trends of one
 module against independent oracles (brute-force enumeration, quadrature,
-finite differences, exact rational arithmetic, 30-digit mpmath).  Results
+finite differences, exact rational arithmetic, mpmath at 30 to 140
+digits).  The shipped float tables, the reciprocal-gamma coefficients
+and the Gauss rules, are checked against their mpmath constructions here
+too.  Results
 come back as a structured report: one residual per case, pass/fail per
 case, process-level success only if everything passed.
 
@@ -46,7 +49,13 @@ from .gammafns import (
     log_e_partial,
     regularized_q,
 )
-from .quadrature import QuadratureRequest, integrate_adaptive, integrate_simplex
+from .quadrature import (
+    _LEGENDRE_RULES,
+    QuadratureRequest,
+    _hermite_rule,
+    integrate_adaptive,
+    integrate_simplex,
+)
 from .recip_gamma import (
     TABLE_ORDER,
     c_composition_oracle,
@@ -82,6 +91,12 @@ E_GAMMA = math.exp(EULER_GAMMA)
 GAMMA_CROSSOVER = 2.9097
 ORACLE_DPS = 30
 ORACLE_RTOL = 1e-10
+#: Working digits of the Newton solve behind the Gauss rules, and the bound
+#: on each rule's worst node (relative to max(1, |node|)) and weight errors:
+#: numpy's 24-node Legendre end weights, shipped as literals, are off by
+#: 1.21e-13 relative.
+RULE_DPS = 40
+RULE_RTOL = 2e-13
 
 # Grids of the cases reported point by point; tests parametrize over them.
 GAMMA_RECURRENCE_Z = (0.1, 0.5, 1.7, 10.3, 50.5)
@@ -90,6 +105,8 @@ SIMPLEX_K = tuple(range(6))
 SIMPLEX_X = (0.5, 1.0, 2.0)
 E_SERIES_X = (0.3, 1.0, E_GAMMA, 4.0)
 E_SERIES_Z = (0.5, 2.0, 5.0, 10.0)
+#: The rule behind gaussian_expectation (n <= 20) and the ends of the guard.
+HERMITE_RULE_NODES = (2, 20, 128)
 
 
 @dataclass(frozen=True)
@@ -205,6 +222,69 @@ def _rho_oracle(x: float, y: float, z: float) -> float:
         return float(x**z * _E_oracle(y * (z - 1) ** 2 / (2 * x), z - 1))
 
 
+def _c_recursion_oracle() -> tuple[float, ...]:
+    """c_0 .. c_{TABLE_ORDER} by the recursion at 30 + TABLE_ORDER digits, rounded to binary64.
+
+    (n+1) c_{n+1} = sum_{k<=n} (-1)^k zh(k+1) c_{n-k} with zh(1) = gamma and
+    zh(k) = zeta(k); the module docstring of ``cpoch.recip_gamma`` says why
+    binary64 cannot run it.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30 + TABLE_ORDER):
+        zh = [mp.mpf(0), +mp.euler] + [mp.zeta(k) for k in range(2, TABLE_ORDER + 2)]
+        coeffs = [mp.mpf(1)]
+        for n in range(TABLE_ORDER):
+            acc = mp.fsum(
+                (-1) ** k * zh[k + 1] * coeffs[n - k] for k in range(n + 1)
+            )
+            coeffs.append(acc / (n + 1))
+        return tuple(float(c) for c in coeffs)
+
+
+def _rule_oracle(kind: str, n: int, starts) -> list[tuple]:
+    """(node, weight) pairs of the n-node Gauss rule, ascending, by Newton at RULE_DPS digits.
+
+    Newton runs from each of ``starts``, the rule's non-negative nodes, and
+    the result is mirrored about 0.
+
+    Legendre on [-1, 1]: P_{j+1} = ((2j+1) x P_j - j P_{j-1}) / (j+1),
+    (1 - x^2) P_n' = n (P_{n-1} - x P_n), w = 2 / ((1 - x^2) P_n'^2).
+    Hermite for the standard normal law: He_{j+1} = x He_j - j He_{j-1},
+    He_n' = n He_{n-1}, w = n! / (n He_{n-1})^2.
+    """
+    import mpmath as mp
+
+    def values(x):  # (p_{n-1}(x), p_n(x))
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        for j in range(n):
+            if kind == "legendre":
+                prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+            else:
+                prev, cur = cur, x * cur - j * prev
+        return prev, cur
+
+    def derivative(x, prev, cur):
+        if kind == "legendre":
+            return n * (prev - x * cur) / (1 - x * x)
+        return n * prev
+
+    out = []
+    with mp.workdps(RULE_DPS):
+        for start in starts:
+            x = mp.mpf(start)
+            for _ in range(3):  # from ~1e-13, two steps pass 40 digits; one spare
+                prev, cur = values(x)
+                x -= cur / derivative(x, prev, cur)
+            prev, cur = values(x)
+            if kind == "legendre":
+                weight = 2 / ((1 - x * x) * derivative(x, prev, cur) ** 2)
+            else:
+                weight = mp.factorial(n) / (n * prev) ** 2
+            out.append((x, weight))
+        return [(-x, w) for x, w in reversed(out[n % 2:])] + out
+
+
 def _groupoid_oracle(n: int, k: int) -> tuple[Fraction, ...]:
     """(|G^e|, |G^o|) by summing every composition of n - k term by term."""
     m = n - k
@@ -314,6 +394,26 @@ def _suite_recip() -> list[CaseResult]:
     worst = max(abs(c_composition_oracle(n) - table[n]) for n in range(1, 16))
     col.add("c_recursion_vs_compositions", {"n": "1..15"},
             "0", f"{worst:.3e}", worst, 1e-10)
+
+    worst = max(abs(a - b) / math.ulp(b) for a, b in zip(table, _c_recursion_oracle()))
+    col.add("c_table_vs_recursion", {"n": f"0..{TABLE_ORDER}", "dps": 30 + TABLE_ORDER},
+            "0 ulp", f"{worst:g} ulp", worst, 0.0)
+
+    # Each shipped rule against the Newton solve started from its own
+    # non-negative nodes; the refined nodes must be distinct, so each root is
+    # found once.
+    rules = [("legendre", n, _LEGENDRE_RULES[n]) for n in sorted(_LEGENDRE_RULES)]
+    rules += [("hermite", n, _hermite_rule(n)) for n in HERMITE_RULE_NODES]
+    for kind, n, (nodes, weights) in rules:
+        exact = _rule_oracle(kind, n, nodes[n // 2:])
+        node_err = max(float(abs(x - ex)) / max(1.0, abs(x)) for x, (ex, _) in zip(nodes, exact))
+        weight_err = max(float(abs(w - ew) / ew) for w, (_, ew) in zip(weights, exact))
+        distinct = all(a[0] < b[0] for a, b in zip(exact, exact[1:]))
+        col.add("gauss_rule_vs_newton", {"rule": kind, "nodes": n},
+                f"{RULE_DPS}-digit rule, distinct roots",
+                f"node {node_err:.3g}, weight {weight_err:.3g}"
+                + ("" if distinct else ", roots repeat"),
+                max(node_err, weight_err) if distinct else float("inf"), RULE_RTOL)
 
     for t in RECIP_SERIES_T:
         series = recip_gamma_series(t)

@@ -1,5 +1,8 @@
 """The import graph: scipy, numpy and mpmath load only where they are used.
 
+``rho``, ``E_series``, the coefficient table and the Gauss rules are built
+from float literals and pure Python; only adaptive quadrature loads scipy.
+
 Each check runs in a fresh interpreter, so modules this test session has
 already imported cannot leak into ``sys.modules``.
 """
@@ -39,14 +42,20 @@ def _heavy_loaded_after(code: str) -> list[str]:
     "from cpoch import pochhammer_discrete, rtilde_triangle\n"
     "rtilde_triangle(48)\n"
     "assert pochhammer_discrete(Fraction(1, 3), Fraction(2, 5), 7) > 0",
-], ids=["import_cpoch", "import_cli", "eval_gamma", "table_rtilde", "exact_layer"])
+    "from cpoch import c_table\nc_table()",
+    "from cpoch import rho\nrho(4.59, 1.06, 17.99)",
+    "from cpoch import E_series\nE_series(2.0, 29.0)",
+    "from cpoch import gaussian_expectation\ngaussian_expectation(1.0, 5)",
+    CLI + "out = CliRunner().invoke(main, ['eval', 'rho', '--x', '2', '--y', '0.5', '--z', '4.5'])\n"
+    "assert out.output == '87.625917008015605\\n'",
+], ids=["import_cpoch", "import_cli", "eval_gamma", "table_rtilde", "exact_layer",
+        "c_table", "rho", "E_series", "gaussian_expectation", "eval_rho"])
 def test_exact_layer_and_cold_cli_load_none(code):
     assert _heavy_loaded_after(code) == []
 
 
 @pytest.mark.parametrize("code, loaded", [
     ("from cpoch import E_quadrature\nE_quadrature(2.0, 5.0)", "scipy"),
-    ("from cpoch import c_table\nc_table()", "mpmath"),
-], ids=["E_quadrature", "c_table"])
+], ids=["E_quadrature"])
 def test_first_use_loads_the_package(code, loaded):
     assert loaded in _heavy_loaded_after(code)

@@ -4,13 +4,15 @@ import pytest
 
 from cpoch.gammafns import gamma, regularized_q
 from cpoch.quadrature import (
+    MAX_HERMITE_NODES,
     QuadratureError,
     QuadratureRequest,
+    _hermite_rule,
     gauss_hermite,
     integrate_adaptive,
     integrate_simplex,
 )
-from cpoch.verify import SIMPLEX_K, SIMPLEX_X
+from cpoch.verify import HERMITE_RULE_NODES, SIMPLEX_K, SIMPLEX_X
 
 
 class TestAdaptive:
@@ -78,6 +80,22 @@ class TestGaussHermite:
             gauss_hermite(lambda t: 1.0, 1)
         with pytest.raises(ValueError):
             gauss_hermite(lambda t: 1.0, 129)
+
+    def test_every_admitted_rule_has_distinct_nodes_and_unit_mass(self):
+        for n in range(2, MAX_HERMITE_NODES + 1):
+            points, weights = _hermite_rule(n)
+            assert len(points) == len(weights) == n
+            assert all(a < b for a, b in zip(points, points[1:])), n
+            assert abs(math.fsum(weights) - 1.0) <= 1e-14, n
+            assert abs(math.fsum(w * t * t for t, w in zip(points, weights)) - 1.0) <= 1e-13, n
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("rule, nodes", [
+        ("legendre", 10), ("legendre", 24), *(("hermite", n) for n in HERMITE_RULE_NODES),
+    ])
+    def test_against_newton(self, verify_cases, rule, nodes):
+        verify_cases.check("recip/gauss_rule_vs_newton", rule=rule, nodes=nodes)
 
 
 class TestSimplex:

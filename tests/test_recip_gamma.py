@@ -6,14 +6,13 @@ import pytest
 from cpoch.core import EULER_GAMMA, zeta
 from cpoch.recip_gamma import (
     TABLE_ORDER,
-    _table,
     c_composition_oracle,
     c_table,
     recip_gamma_series,
     weighted_series_coeffs,
 )
 from cpoch.rho import E_deriv_z, E_series
-from cpoch.verify import RECIP_SERIES_T, run_suite
+from cpoch.verify import RECIP_SERIES_T
 
 
 def _digest(coeffs):
@@ -146,17 +145,9 @@ class TestWeightedCache:
 
 
 class TestOneTable:
-    def test_every_order_builds_one_table(self):
-        _table.cache_clear()
-        assert c_table() == c_table(TABLE_ORDER)
-        assert c_table(5) == c_table()[:6]
-        assert _table.cache_info().misses == 1
-
-    def test_verify_builds_one_table(self):
-        _table.cache_clear()
-        weighted_series_coeffs.cache_clear()
-        assert run_suite("all").passed
-        assert _table.cache_info().misses == 1
+    def test_literals_match_the_recursion(self, verify_cases):
+        # the shipped c_0 .. c_110 are the 140-digit recursion's, bit for bit
+        verify_cases.check("recip/c_table_vs_recursion")
 
 
 # Bits of the coefficient layer; a change to any returned float fails here.
