@@ -1,4 +1,4 @@
-"""Shared fixture: the verify suites, run once per session, looked up by case id.
+"""Shared fixture: the verify suites, run once per session, looked up by case id or suite.
 
 Every property check is defined once, in ``cpoch.verify``; a test that
 asserts such a property names the case as ``suite/case_id`` instead of
@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from cpoch.verify import CaseResult, run_suite
+from cpoch.verify import CaseResult, VerificationReport, run_suite
 
 
 class SuiteCases:
@@ -19,7 +19,8 @@ class SuiteCases:
         self._reports = {}
         self._seconds = {}
 
-    def _report(self, suite: str):
+    def report(self, suite: str) -> VerificationReport:
+        """The suite's report from its one run this session."""
         if suite not in self._reports:
             start = time.perf_counter()
             self._reports[suite] = run_suite(suite)
@@ -28,17 +29,17 @@ class SuiteCases:
 
     def seconds(self, suite: str) -> float:
         """Wall time of the suite's one run."""
-        self._report(suite)
+        self.report(suite)
         return self._seconds[suite]
 
     def cases(self, *refs: str, **inputs) -> list[CaseResult]:
-        """The cases named ``suite/case_id``, narrowed to those with the given inputs."""
+        """The cases named ``suite/case_id``, or all of ``suite``, narrowed to the given inputs."""
         found = []
         for ref in refs:
-            suite, case_id = ref.split("/")
+            suite, _, case_id = ref.partition("/")
             matches = [
-                c for c in self._report(suite).cases
-                if c.case_id == case_id and all(c.inputs.get(k) == v for k, v in inputs.items())
+                c for c in self.report(suite).cases
+                if case_id in ("", c.case_id) and all(c.inputs.get(k) == v for k, v in inputs.items())
             ]
             assert matches, f"verify has no case {ref} with inputs {inputs}"
             found.extend(matches)

@@ -4,7 +4,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import cpoch.cli
 from cpoch.cli import main
+from cpoch.verify import CaseResult, VerificationReport
 
 
 @pytest.fixture
@@ -214,6 +216,12 @@ class TestTable:
 
 
 class TestVerify:
+    # the commands render the session's reports; CI's property-suite step is
+    # the unpatched end-to-end run of `cpoch verify --suite all`
+    @pytest.fixture(autouse=True)
+    def session_reports(self, monkeypatch, verify_cases):
+        monkeypatch.setattr(cpoch.cli, "run_suite", verify_cases.report)
+
     def test_discrete_suite_passes(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "discrete"])
         assert result.exit_code == 0
@@ -240,6 +248,14 @@ class TestVerify:
                 f"refuted at {refuted} points, as the oracle finds"
             )
         assert by_name["analogue2/linear_envelope_sign_corrected"]["pass"]
+
+    def test_failed_case_exits_1(self, runner, monkeypatch):
+        failed = CaseResult("kernel", "broken", {"x": 1.0}, "0", "1", 1.0, False)
+        monkeypatch.setattr(cpoch.cli, "run_suite", lambda suite: VerificationReport(suite, [failed]))
+        result = runner.invoke(main, ["verify", "--suite", "kernel"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines()[1:] == ["kernel,broken,x=1.0,0,1,1,false"]
+        assert "kernel: 0/1 cases passed" in result.stderr
 
     def test_bad_suite_rejected(self, runner):
         assert runner.invoke(main, ["verify", "--suite", "bogus"]).exit_code == 2

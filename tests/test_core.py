@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -118,23 +117,3 @@ class TestOverflowRule:
     def test_reduced_argument_past_an_overflowing_numerator(self):
         assert reduced_argument(1e300, 1e300, 1e6) == 0.5 * (1e6 - 1.0) ** 2
 
-
-rationals = st.fractions(
-    min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000
-)
-
-
-class TestExactRationalAxioms:
-    @given(rationals, rationals, rationals)
-    @settings(max_examples=200)
-    def test_field_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-
-    @given(rationals)
-    def test_normalized_representation(self, a):
-        assert a.denominator > 0
-        assert math.gcd(abs(a.numerator), a.denominator) in (0, 1)

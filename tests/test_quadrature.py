@@ -105,11 +105,6 @@ class TestSimplex:
     def test_volume_closed_form(self, verify_cases, k, x):
         verify_cases.check("discrete/simplex_quadrature_vs_closed_forms", k=k, x=x)
 
-    @pytest.mark.parametrize("x", SIMPLEX_X)
-    @pytest.mark.parametrize("k", SIMPLEX_K)
-    def test_moment_closed_form(self, verify_cases, k, x):
-        verify_cases.check("discrete/simplex_quadrature_vs_closed_forms", k=k, x=x)
-
     def test_examples(self):
         assert abs(integrate_simplex(1, 2.0, moment=True) - 2.0) <= 1e-10
         assert abs(integrate_simplex(2, 1.0, moment=False) - 0.5) <= 1e-10
