@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cpoch.discrete import simplex_moment
 from cpoch.gammafns import gamma, regularized_q
 from cpoch.quadrature import (
     MAX_HERMITE_NODES,
@@ -99,11 +100,19 @@ class TestGaussRules:
 
 
 class TestSimplex:
-    # the case checks volume and moment together
+    # the verify case checks volume and moment together
     @pytest.mark.parametrize("x", SIMPLEX_X)
     @pytest.mark.parametrize("k", SIMPLEX_K)
     def test_volume_closed_form(self, verify_cases, k, x):
         verify_cases.check("discrete/simplex_quadrature_vs_closed_forms", k=k, x=x)
+
+    @pytest.mark.parametrize("x", SIMPLEX_X)
+    @pytest.mark.parametrize("k", SIMPLEX_K)
+    def test_moment_closed_form(self, k, x):
+        # x^(2k) / (2^k k!) straight from the nested rule, outside the verify suite
+        expected = simplex_moment(x, k)
+        got = integrate_simplex(k, x, moment=True)
+        assert abs(got - expected) <= 1e-7 * max(1.0, expected)
 
     def test_examples(self):
         assert abs(integrate_simplex(1, 2.0, moment=True) - 2.0) <= 1e-10
