@@ -1,8 +1,10 @@
 """Numerical integration services: production paths and verification oracles.
 
-* ``integrate_adaptive`` -- adaptive 1-D quadrature (Gauss-Kronrod via
-  scipy's QUADPACK bindings).  The production path of ``E_quadrature``,
-  ``nu`` and ``mu_function`` in ``cpoch.rho``, behind ``cpoch eval E/nu/mu``.
+* ``integrate_adaptive`` -- adaptive 1-D quadrature: QUADPACK's QAGS
+  (21-point Gauss-Kronrod, bisection, epsilon-algorithm extrapolation),
+  ported to pure Python in ``cpoch._qags``.  The production path of
+  ``E_quadrature``, ``nu`` and ``mu_function`` in ``cpoch.rho``, behind
+  ``cpoch eval E/nu/mu``.
   ``cpoch.verify`` uses it as an oracle: through ``E_quadrature`` against
   ``E_series``, and directly in ``mu_cutoff_consistency``.
 * ``_LEGENDRE_RULES`` -- the 10- and 24-node Gauss-Legendre rules on
@@ -19,8 +21,10 @@
 The Legendre rules are float literals, the bits numpy's ``leggauss``
 returns, so ``E_series`` and the values pinned from it do not depend on
 an installed numpy; verify checks them, and the Hermite rules, against a
-40-digit Newton solve.  Only ``integrate_adaptive`` imports anything:
-scipy, on first use, so that ``rho`` and the exact layer do not load it.
+40-digit Newton solve.  Nothing here imports a third-party package;
+``integrate_adaptive`` imports ``cpoch._qags`` on first use.  scipy's
+``quad`` wraps the same QAGS and is now only a test-time reference: the
+port returns its value, error estimate and failure flag bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +49,14 @@ MAX_SUBDIVISIONS = 200  # QUADPACK interval budget of integrate_adaptive
 SIMPLEX_MAX_DEPTH = 5
 _SIMPLEX_RULE_NODES = 10  # Gauss-Legendre, exact to polynomial degree 19
 _NEWTON_MAX_STEPS = 10  # every Hermite node for 2 <= n <= 128 converges within 7
+#: What each nonzero return code of ``_qags.qags`` means.
+_QAGS_FAILURES = {
+    1: f"the subdivision limit ({MAX_SUBDIVISIONS}) was reached",
+    2: "roundoff error prevents the requested tolerance",
+    3: "extremely bad integrand behaviour at some points of the interval",
+    4: "roundoff error in the extrapolation table prevents the requested tolerance",
+    5: "the integral is probably divergent or slowly convergent",
+}
 
 
 def _mirrored(half_nodes, half_weights):
@@ -102,30 +114,32 @@ class QuadratureRequest:
 def integrate_adaptive(request: QuadratureRequest) -> tuple[float, float]:
     """Integrate over [lower, upper], returning (value, error estimate).
 
-    The tolerance is absolute for integrals of magnitude <= 1 and relative
-    beyond that.  A subdivision-budget failure raises QuadratureError
-    carrying the best estimate.
+    QUADPACK's QAGS (``cpoch._qags``) with ``tolerance`` as both its
+    absolute and relative target, so the tolerance is absolute for
+    integrals of magnitude <= 1 and relative beyond that, within
+    ``MAX_SUBDIVISIONS`` intervals.  A nonzero QAGS return code or an error
+    estimate above the tolerance raises QuadratureError carrying the best
+    estimate and its error estimate.  The results are those of scipy's
+    ``quad(..., limit=MAX_SUBDIVISIONS)`` bit for bit.
     """
     if request.lower == request.upper:
         return 0.0, 0.0
-    from scipy import integrate
+    from ._qags import qags
 
-    out = integrate.quad(
+    value, abserr, ier = qags(
         request.integrand,
         request.lower,
         request.upper,
-        epsabs=request.tolerance,
-        epsrel=request.tolerance,
-        limit=MAX_SUBDIVISIONS,
-        full_output=1,
+        request.tolerance,
+        request.tolerance,
+        MAX_SUBDIVISIONS,
     )
-    value, abserr = out[0], out[1]
     allowed = request.tolerance * max(1.0, abs(value))
-    if len(out) > 3 or abserr > allowed:
-        message = out[3] if len(out) > 3 else (
+    if ier or abserr > allowed:
+        message = _QAGS_FAILURES[ier] if ier else (
             f"error estimate {abserr:.3g} exceeds tolerance {allowed:.3g}"
         )
-        raise QuadratureError(str(message), best_estimate=value, error_estimate=abserr)
+        raise QuadratureError(message, best_estimate=value, error_estimate=abserr)
     return value, abserr
 
 

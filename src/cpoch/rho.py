@@ -130,16 +130,24 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
 
 def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
     """E(x, z) by adaptive quadrature of the integrand; the series oracle's
-    independent counterpart."""
+    independent counterpart.
+
+    The pure-Python QAGS of ``integrate_adaptive`` (scipy's ``quad`` is only
+    a test-time reference for it).  The integrand is ``e_integrand`` with
+    log x computed once: the same product t * log x, the same bits.
+    """
     if x <= 0:
         raise ValueError(f"E_quadrature requires x > 0, got {x}")
     if z < 0:
         raise ValueError(f"E_quadrature requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
-    value, _ = integrate_adaptive(
-        QuadratureRequest(lambda t: e_integrand(x, t), 0.0, z, tolerance=tol)
-    )
+    log_x = math.log(x)
+
+    def integrand(t: float) -> float:
+        return math.exp(t * log_x - math.lgamma(t + 1.0))
+
+    value, _ = integrate_adaptive(QuadratureRequest(integrand, 0.0, z, tolerance=tol))
     return value
 
 
@@ -168,6 +176,7 @@ def nu(x: float, tol: float = 1e-10) -> float:
 
 def _mu_integrand(x: float, beta: float, alpha: float, tol: float):
     """mu's integrand and a cutoff Z whose tail integral past Z is below tol/2."""
+    log_x = math.log(x)
     log_gamma_beta = math.lgamma(beta + 1.0)
     cutoff = max(30.0, math.e**2 * x, 2.0 * beta + 10.0)
     # integrand <= x^alpha t^beta e^-t / Gamma(beta+1) past e^2 x; for
@@ -175,7 +184,7 @@ def _mu_integrand(x: float, beta: float, alpha: float, tol: float):
     # below 2 x^alpha Z^beta e^-Z / Gamma(beta+1).
     def tail_bound(zc: float) -> float:
         return math.exp(
-            alpha * math.log(x) + beta * math.log(zc) - zc - log_gamma_beta + math.log(2.0)
+            alpha * log_x + beta * math.log(zc) - zc - log_gamma_beta + math.log(2.0)
         )
 
     while tail_bound(cutoff) > tol / 2.0:
@@ -185,9 +194,9 @@ def _mu_integrand(x: float, beta: float, alpha: float, tol: float):
 
     def integrand(t: float) -> float:
         if t == 0.0:
-            return 0.0 if beta > 0 else math.exp(alpha * math.log(x) - math.lgamma(alpha + 1.0) - log_gamma_beta)
+            return 0.0 if beta > 0 else math.exp(alpha * log_x - math.lgamma(alpha + 1.0) - log_gamma_beta)
         return math.exp(
-            (alpha + t) * math.log(x)
+            (alpha + t) * log_x
             + beta * math.log(t)
             - math.lgamma(alpha + t + 1.0)
             - log_gamma_beta

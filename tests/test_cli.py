@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -46,6 +47,22 @@ class TestEval:
     ])
     def test_log_scaled_bytes(self, runner, args, output):
         result = runner.invoke(main, ["eval", *args, "--log-scaled"])
+        assert result.exit_code == 0
+        assert result.stdout == output
+
+    # stdout of the quadrature-backed evals in the benchmark's CLI universe,
+    # with scipy unimportable: the pure-Python QAGS gives quad's bits
+    @pytest.mark.parametrize("args, output", [
+        (["E", "--x", "2", "--z", "30"], "6.997579629175668\n"),
+        (["E", "--x", "0.3", "--z", "7.5"], "0.79033387811165867\n"),
+        (["nu", "--x", "1"], "2.2665345076998493\n"),
+        (["nu", "--x", "25"], "72004899337.156052\n"),
+        (["mu", "--x", "2", "--beta", "1", "--alpha", "0.5"], "11.513832797498804\n"),
+        (["mu", "--x", "0.5", "--beta", "2.5", "--alpha", "1"], "0.087929256436240444\n"),
+    ])
+    def test_quadrature_bytes_without_scipy(self, runner, monkeypatch, args, output):
+        monkeypatch.setitem(sys.modules, "scipy", None)  # `import scipy` now raises
+        result = runner.invoke(main, ["eval", *args])
         assert result.exit_code == 0
         assert result.stdout == output
 

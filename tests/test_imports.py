@@ -1,7 +1,10 @@
-"""The import graph: scipy, numpy and mpmath load only where they are used.
+"""The import graph: numpy, scipy and mpmath stay off every runtime path.
 
 ``rho``, ``E_series``, the coefficient table and the Gauss rules are built
-from float literals and pure Python; only adaptive quadrature loads scipy.
+from float literals and pure Python, and adaptive quadrature (``E``, ``nu``,
+``mu``) is a pure-Python QAGS, so no evaluation loads any of the three.
+Only the verify suites load a package: mpmath, for their high-precision
+oracles.
 
 Each check runs in a fresh interpreter, so modules this test session has
 already imported cannot leak into ``sys.modules``.
@@ -48,14 +51,20 @@ def _heavy_loaded_after(code: str) -> list[str]:
     "from cpoch import gaussian_expectation\ngaussian_expectation(1.0, 5)",
     CLI + "out = CliRunner().invoke(main, ['eval', 'rho', '--x', '2', '--y', '0.5', '--z', '4.5'])\n"
     "assert out.output == '87.625917008015605\\n'",
+    "from cpoch import E_quadrature\nE_quadrature(2.0, 5.0)",
+    "from cpoch import nu\nnu(1.0)",
+    "from cpoch import mu_function\nmu_function(2.0, 1.0, 0.5)",
+    CLI + "out = CliRunner().invoke(main, ['eval', 'nu', '--x', '1'])\n"
+    "assert out.output == '2.2665345076998493\\n'",
 ], ids=["import_cpoch", "import_cli", "eval_gamma", "table_rtilde", "exact_layer",
-        "c_table", "rho", "E_series", "gaussian_expectation", "eval_rho"])
+        "c_table", "rho", "E_series", "gaussian_expectation", "eval_rho",
+        "E_quadrature", "nu", "mu_function", "eval_nu"])
 def test_exact_layer_and_cold_cli_load_none(code):
     assert _heavy_loaded_after(code) == []
 
 
 @pytest.mark.parametrize("code, loaded", [
-    ("from cpoch import E_quadrature\nE_quadrature(2.0, 5.0)", "scipy"),
-], ids=["E_quadrature"])
+    ("from cpoch.verify import run_suite\nrun_suite('recip')", "mpmath"),
+], ids=["verify_recip"])
 def test_first_use_loads_the_package(code, loaded):
     assert loaded in _heavy_loaded_after(code)

@@ -1,11 +1,14 @@
 import math
+import random
 
 import pytest
 
+from cpoch import _qags
 from cpoch.discrete import simplex_moment
 from cpoch.gammafns import gamma, regularized_q
 from cpoch.quadrature import (
     MAX_HERMITE_NODES,
+    MAX_SUBDIVISIONS,
     QuadratureError,
     QuadratureRequest,
     _hermite_rule,
@@ -54,6 +57,61 @@ class TestAdaptive:
 
     def test_empty_interval(self):
         assert integrate_adaptive(QuadratureRequest(lambda t: t, 2.0, 2.0)) == (0.0, 0.0)
+
+
+def _quadpack_cases(seed: int = 13):
+    """(integrand, a, b, tol): a seeded grid of E integrands, then hard ones.
+
+    The hard integrands drive QAGS into extrapolation and failure codes.
+    """
+    rng = random.Random(seed)
+    for _ in range(150):
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(600.0)))
+        z = rng.uniform(0.0, 40.0)
+        tol = 10.0 ** rng.uniform(-13.0, -6.0)
+        yield (lambda t, log_x=math.log(x): math.exp(t * log_x - math.lgamma(t + 1.0))), 0.0, z, tol
+    hard = (
+        lambda t: 1.0 / math.sqrt(t),
+        math.log,
+        lambda t: math.sin(1.0 / t),
+        lambda t: abs(t - 0.37) ** 0.3,
+        lambda t: 1.0 if t < 0.4123 else 0.0,
+        lambda t: 1.0 / abs(t - 0.37) if t != 0.37 else 0.0,  # divergent
+        lambda t: 1.0 / (t * math.log(t) ** 2),  # slowly convergent
+    )
+    for f in hard:
+        for tol in (1e-13, 1e-10, 1e-6):
+            yield f, 0.0, 1.0, tol
+
+
+class TestMatchesQuadpack:
+    """The pure-Python QAGS against scipy's quad, the compiled QUADPACK it ports."""
+
+    @pytest.mark.parametrize("limit", [5, 20, 200])
+    def test_bit_identical_to_scipy_quad(self, monkeypatch, limit):
+        integrate = pytest.importorskip("scipy.integrate")
+        extrapolations = []
+        qelg = _qags._qelg
+        monkeypatch.setattr(_qags, "_qelg", lambda *a: extrapolations.append(1) or qelg(*a))
+        failures = 0
+        for f, a, b, tol in _quadpack_cases():
+            out = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
+            value, abserr, ier = _qags.qags(f, a, b, tol, tol, limit)
+            assert (value, abserr, ier != 0) == (out[0], out[1], len(out) > 3), (a, b, tol)
+            failures += ier != 0
+        # the grid reaches the epsilon algorithm and the failure paths
+        assert extrapolations and failures
+
+    def test_integrate_adaptive_is_scipy_quad(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        for f, a, b, tol in _quadpack_cases():
+            out = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=MAX_SUBDIVISIONS,
+                                 full_output=1)
+            try:
+                got = integrate_adaptive(QuadratureRequest(f, a, b, tol))
+            except QuadratureError as exc:
+                got = exc.best_estimate, exc.error_estimate
+            assert got == (out[0], out[1]), (a, b, tol)
 
 
 class TestGaussHermite:
