@@ -106,7 +106,11 @@ def eval_command(target, x, y, z, alpha, beta, tol, log_scaled, fmt):
     if isinstance(result, SeriesEval):
         converged = result.converged
         result = result.value
-    if isinstance(result, float) and not math.isfinite(result):
+    if isinstance(result, LogScaled):  # LogScaled(0, -inf) is zero
+        non_finite = math.isnan(result.log_magnitude) or result.log_magnitude == math.inf
+    else:
+        non_finite = isinstance(result, float) and not math.isfinite(result)
+    if non_finite:
         click.echo(f"numerical failure in {target}: result is {result}", err=True)
         sys.exit(3)
     if log_scaled and not isinstance(result, LogScaled):

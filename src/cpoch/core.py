@@ -30,6 +30,7 @@ __all__ = [
     "LogScaled",
     "SeriesEval",
     "exp_or_log_scaled",
+    "log_add",
     "reduced_argument",
     "ConvergenceError",
     "EULER_GAMMA",
@@ -71,8 +72,9 @@ class LogScaled:
 
     ``sign`` is -1, 0 or +1; ``log_magnitude`` is meaningless when sign is 0
     (it is kept at ``-inf`` so arithmetic stays total).  Multiplication adds
-    log magnitudes; addition uses log-sum-exp.  Subtraction of nearly equal
-    magnitudes loses relative precision, as any log representation must.
+    log magnitudes; addition is ``log_add``, log-sum-exp on the two (sign,
+    log) pairs.  Subtraction of nearly equal magnitudes loses relative
+    precision, as any log representation must.
     """
 
     sign: int
@@ -106,25 +108,35 @@ class LogScaled:
 
     def __add__(self, other: "LogScaled | float | int") -> "LogScaled":
         other = _as_log_scaled(other)
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        big, small = self, other
-        if small.log_magnitude > big.log_magnitude:
-            big, small = small, big
-        delta = small.log_magnitude - big.log_magnitude  # <= 0
-        if big.sign == small.sign:
-            return LogScaled(big.sign, big.log_magnitude + math.log1p(math.exp(delta)))
-        diff = -math.expm1(delta)  # 1 - exp(delta) in [0, 1)
-        if diff == 0.0:
-            return LogScaled(0, float("-inf"))
-        return LogScaled(big.sign, big.log_magnitude + math.log(diff))
+        return LogScaled(*log_add(self.sign, self.log_magnitude,
+                                  other.sign, other.log_magnitude))
 
     __radd__ = __add__
 
     def __sub__(self, other: "LogScaled | float | int") -> "LogScaled":
         return self + (-_as_log_scaled(other))
+
+
+def log_add(s1: int, l1: float, s2: int, l2: float) -> tuple[int, float]:
+    """(sign, log magnitude) of s1 e^l1 + s2 e^l2, by log-sum-exp.
+
+    A sign of 0 is zero whatever its log.  Exact cancellation gives
+    (0, -inf).  This is ``LogScaled`` addition on bare floats, for loops
+    that sum many terms without building an object per term.
+    """
+    if s1 == 0:
+        return s2, l2
+    if s2 == 0:
+        return s1, l1
+    if l2 > l1:
+        s1, l1, s2, l2 = s2, l2, s1, l1
+    delta = l2 - l1  # <= 0
+    if s1 == s2:
+        return s1, l1 + math.log1p(math.exp(delta))
+    diff = -math.expm1(delta)  # 1 - exp(delta) in [0, 1)
+    if diff == 0.0:
+        return 0, -math.inf
+    return s1, l1 + math.log(diff)
 
 
 def _as_log_scaled(x: "LogScaled | float | int") -> LogScaled:

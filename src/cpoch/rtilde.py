@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import MACHINE_EPS, LogScaled, SeriesEval, exp_or_log_scaled, reduced_argument
+from .core import (MACHINE_EPS, LogScaled, SeriesEval, exp_or_log_scaled, log_add,
+                   reduced_argument)
 from .discrete import _compositions
 from .gammafns import e_partial_sum, log_e_partial
 from .quadrature import gauss_hermite
@@ -232,7 +233,11 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
     """Evaluate the coefficient polynomial sum_k rt_{n,k} x^k y^(n-k).
 
     The plain form sums floats; where a coefficient, a power or the sum
-    leaves the binary64 range it returns the log-scaled sum instead.
+    leaves the binary64 range it returns the log-scaled sum instead.  That
+    sum forms each term's sign and log as ``LogScaled`` multiplication
+    would, adds the terms in k order with ``log_add`` and builds one
+    ``LogScaled`` at the end, so it equals the left fold of ``LogScaled``
+    additions bit for bit.
     """
     if not 0 <= n <= RTILDE_POLY_MAX_N:
         raise ValueError(f"n must lie in [0, {RTILDE_POLY_MAX_N}], got {n}")
@@ -246,7 +251,7 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
             total = math.inf
         if math.isfinite(total):
             return total
-    acc = LogScaled(0, float("-inf"))
+    acc_sign, acc_log = 0, -math.inf
     lx = LogScaled.from_float(x)
     ly = LogScaled.from_float(y)
     for k, _, log_coeff in row:
@@ -259,8 +264,8 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
             sign *= ly.sign ** (n - k)
             log_term += (n - k) * ly.log_magnitude
         if sign:  # a zero term leaves the sum as it is
-            acc = acc + LogScaled(sign, log_term)
-    return acc
+            acc_sign, acc_log = log_add(acc_sign, acc_log, sign, log_term)
+    return LogScaled(acc_sign, acc_log)
 
 
 def rtilde_closed(x: float, y: float, n: int) -> float | LogScaled:

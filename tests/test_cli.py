@@ -145,6 +145,29 @@ class TestEval:
         assert result.exit_code == 3
         assert "numerical failure" in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["rtilde", "--x", "nan", "--y", "1", "--z", "5"],
+        ["rtilde", "--x", "inf", "--y", "1", "--z", "5"],
+        ["rtilde", "--x", "1", "--y", "nan", "--z", "5", "--log-scaled"],
+        ["gamma", "--z", "inf"],
+        ["r-cont", "--x", "nan", "--y", "1", "--z", "5"],
+    ])
+    def test_non_finite_log_scaled_is_numerical_failure(self, runner, args):
+        # a LogScaled result whose log magnitude is nan or +inf, like a float nan
+        result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "numerical failure" in result.stderr
+
+    @pytest.mark.parametrize("args, output", [
+        (["rtilde", "--x", "0", "--y", "1", "--z", "5", "--log-scaled"], "0 -inf\n"),
+        (["rtilde", "--x", "1e300", "--y", "-1e300", "--z", "40"], "-1 27783.064352446047\n"),
+    ])
+    def test_zero_and_negative_log_scaled_print(self, runner, args, output):
+        result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 0
+        assert result.stdout == output
+
     def test_gamma_near_zero_is_log_scaled(self, runner):
         result = runner.invoke(main, ["eval", "gamma", "--z", "1e-320"])
         assert result.exit_code == 0

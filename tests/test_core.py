@@ -9,6 +9,7 @@ from cpoch.core import (
     LOG_SCALED_FROM,
     LogScaled,
     exp_or_log_scaled,
+    log_add,
     reduced_argument,
     zeta,
     zeta_hat,
@@ -100,6 +101,24 @@ class TestLogScaled:
         with pytest.raises(OverflowError):
             big.to_float()
         assert (big * big).log_magnitude == 1600.0
+
+
+class TestLogAdd:
+    @pytest.mark.parametrize("s, l", [(1, 3.5), (-1, -700.0), (0, -math.inf)])
+    def test_zero_sign_operand_returns_the_other(self, s, l):
+        # a sign of 0 is zero whatever log it carries
+        assert log_add(0, -math.inf, s, l) == (s, l)
+        assert log_add(s, l, 0, -math.inf) == (s, l)
+        assert log_add(0, 12.0, s, l) == (s, l)
+
+    @pytest.mark.parametrize("l", [0.0, -3.25, 812.5])
+    def test_exact_cancellation_is_zero(self, l):
+        assert log_add(1, l, -1, l) == (0, -math.inf)
+        assert log_add(-1, l, 1, l) == (0, -math.inf)
+
+    @pytest.mark.parametrize("sign, l", [(1, 0.0), (-1, 2.5), (1, 1e4)])
+    def test_equal_logs_same_sign_add_log_two(self, sign, l):
+        assert log_add(sign, l, sign, l) == (sign, l + math.log(2.0))
 
 
 class TestOverflowRule:

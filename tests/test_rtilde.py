@@ -1,4 +1,7 @@
+import functools
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,8 +27,10 @@ from cpoch.rtilde import (
     stilde_mobius_oracle,
 )
 
-# rtilde_poly bits recorded while it still rebuilt every Fraction per call:
-# (x, y, n, plain float.hex, log-scaled sign, log-scaled log_magnitude.hex)
+# rtilde_poly bits recorded while it still rebuilt every Fraction per call,
+# and (the last four rows) while its log-scaled sum still added LogScaled
+# objects: (x, y, n, plain float.hex or None where the plain form returns
+# the log-scaled sum, log-scaled sign, log-scaled log_magnitude.hex)
 POLY_PINNED = [
     (1.5, 0.75, 0, "0x1.0000000000000p+0", 1, "0x0.0p+0"),
     (1.5, 0.75, 1, "0x1.8000000000000p+0", 1, "0x1.9f323ecbf984cp-2"),
@@ -39,6 +44,10 @@ POLY_PINNED = [
     (0.25, 4.0, 17, "0x1.b1e2966879174p+97", 1, "0x1.0f0d301c4dd04p+6"),
     (0.25, 4.0, 47, "0x1.48ec35d3eddffp+360", 1, "0x1.f39137fe1c00fp+7"),
     (0.25, 4.0, 48, "0x1.b4b9d67481594p+369", 1, "0x1.004e312f8c51ep+8"),
+    (-1.5, 0.75, 48, "-0x1.a7b48154f1ec5p+258", -1, "0x1.66abf247e18dbp+7"),
+    (-0.25, 4.0, 47, "-0x1.4723d1ab95dcbp+360", -1, "0x1.f38e6fa4aca04p+7"),
+    (1e300, -1e300, 40, None, -1, "0x1.b21c41e59b8ccp+14"),
+    (-1e300, 1e300, 41, None, -1, "0x1.bcfb3f1af2d09p+14"),
 ]
 
 
@@ -132,9 +141,37 @@ class TestEvaluations:
 
     @pytest.mark.parametrize("x, y, n, plain, sign, log_magnitude", POLY_PINNED)
     def test_poly_pinned_bits(self, x, y, n, plain, sign, log_magnitude):
-        assert rtilde_poly(x, y, n).hex() == plain
         scaled = rtilde_poly(x, y, n, log_scaled=True)
         assert (scaled.sign, scaled.log_magnitude.hex()) == (sign, log_magnitude)
+        if plain is None:
+            assert rtilde_poly(x, y, n) == scaled
+        else:
+            assert rtilde_poly(x, y, n).hex() == plain
+
+    def test_poly_log_sum_is_the_left_fold_of_log_scaled_terms(self):
+        # the log-scaled sum adds the terms rt_{n,k} x^k y^(n-k) in k order,
+        # each formed as LogScaled multiplication would form it
+        rng = random.Random(2024)
+        points = [(-1.5, 0.0, 7), (-0.3, 0.0, 60), (-2.0, 0.0, 1)]
+        for _ in range(60):
+            x = -(10.0 ** rng.uniform(-3, 3))
+            y = rng.choice((0.0, rng.uniform(-4.0, 4.0), 10.0 ** rng.uniform(-3, 3)))
+            points.append((x, y, rng.randint(0, 60)))
+        zero = LogScaled(0, -math.inf)
+        for x, y, n in points:
+            lx, ly = LogScaled.from_float(x), LogScaled.from_float(y)
+            terms = []
+            for k, _, log_coeff in _poly_row(n):
+                sign, log_term = 1, log_coeff
+                if k:
+                    sign *= lx.sign**k
+                    log_term += k * lx.log_magnitude
+                if n - k:
+                    sign *= ly.sign ** (n - k)
+                    log_term += (n - k) * ly.log_magnitude
+                terms.append(LogScaled(sign, log_term))
+            expected = functools.reduce(operator.add, terms, zero)
+            assert rtilde_poly(x, y, n, log_scaled=True) == expected, (x, y, n)
 
     def test_poly_row_cache_is_bounded_and_exact(self):
         _poly_row.cache_clear()

@@ -23,13 +23,6 @@ import cpoch.rtilde
 import cpoch.verify
 from cpoch.verify import SUITE_NAMES, run_suite
 
-AS_STATED = (
-    "linear_envelope_as_stated",
-    "rho_envelope_as_stated",
-    "rho_ratio_envelope_as_stated",
-)
-
-
 def _off_E_series(exact):
     def off(x, z, tol=1e-10):
         result = exact(x, z, tol)
@@ -93,11 +86,6 @@ def patched_run():
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_every_case_passes(verify_cases, suite):
     verify_cases.check(suite)
-
-
-@pytest.mark.parametrize("case_id", AS_STATED)
-def test_as_stated_cases_pass_on_correct_program(verify_cases, case_id):
-    verify_cases.check(f"analogue2/{case_id}")
 
 
 def test_E_series_error_fails_linear_envelope_case(patched_run):
