@@ -50,8 +50,9 @@ SERIES_WINDOW = 3.0
 
 _COMPOSITION_LIMIT = 20
 
-#: Distinct x whose shifted coefficients are kept; a z-sweep at fixed x
-#: (E_series, rho along a curve) then builds them once.
+#: Distinct x whose shifted coefficients are kept, and the bound of the
+#: per-x state E_series builds from them; a z-sweep at fixed x then builds
+#: both once.
 _WEIGHTED_CACHE_SIZE = 64
 
 
@@ -95,6 +96,9 @@ _TABLE = (
     -4.569674462433439e-115, -5.826736555330375e-116, 4.202538069929734e-117,
     -1.6889318527713703e-118, 4.1226213324018606e-120, -8.245119659374557e-123,
 )
+
+#: c_110 .. c_0; its suffix from index TABLE_ORDER - n is c_n .. c_0.
+_REVERSED = _TABLE[::-1]
 
 
 def c_table(n_max: int = TABLE_ORDER) -> tuple[float, ...]:
@@ -150,19 +154,21 @@ def weighted_series_coeffs(x: float) -> tuple[float, ...]:
     """Coefficients c_0(x) .. c_110(x) of t -> x^t / Gamma(t+1).
 
     c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!, so c_n(1) = c_n.  Cached for
-    the 64 most recent x; the returned tuple is shared by every caller.
+    the ``_WEIGHTED_CACHE_SIZE`` (64) most recent x, like the per-x state
+    ``rho.E_series`` builds from them; the returned tuple is shared by
+    every caller.
     """
     if x <= 0:
         raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")
-    coeffs = _TABLE
     if x == 1.0:
-        return coeffs
+        return _TABLE
     lx = math.log(x)
-    # c_n(x) = sum_k c_{n-k} lx^k / k!, all orders from one list of lx^k / k!.
+    # c_n(x) = sum_k c_{n-k} lx^k / k!, all orders from one list of lx^k / k!;
+    # map stops at the shorter operand, c_n .. c_0, so no slice of log_powers.
     log_powers = [1.0]
-    for k in range(1, len(coeffs)):
+    for k in range(1, TABLE_ORDER + 1):
         log_powers.append(log_powers[-1] * lx / k)
     return tuple(
-        math.fsum(map(operator.mul, coeffs[n::-1], log_powers[: n + 1]))
-        for n in range(len(coeffs))
+        math.fsum(map(operator.mul, _REVERSED[TABLE_ORDER - n:], log_powers))
+        for n in range(TABLE_ORDER + 1)
     )

@@ -29,20 +29,24 @@ coefficient table instead is exact in theory but numerically dead in
 binary64: the shifted-coefficient sums carry terms of size ~exp(pi t0 / 2)
 that must cancel to reach tiny targets.)  Every full subinterval is
 integrated at the same Gauss-Legendre nodes u, so the node series values
-are computed once per call and shared by all of them; from one subinterval
-to the next only x^t0 changes and each node's denominator gains the factor
-(u+t0).  Only a final partial subinterval evaluates the series at nodes of
-its own.
+are shared by all of them and cached per x with the coefficients (as is the
+head sum over the whole window); from one subinterval to the next only x^t0
+changes and each node's denominator gains the factor (u+t0).  Only a final
+partial subinterval evaluates the series at nodes of its own, so a z-sweep
+at fixed x pays for the coefficients and the full-node series once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 
 from .core import LOG_SCALED_FROM, MACHINE_EPS, ConvergenceError, LogScaled, SeriesEval
 from .core import reduced_argument
 from .quadrature import _LEGENDRE_RULES, QuadratureError, QuadratureRequest, integrate_adaptive
-from .recip_gamma import SERIES_WINDOW, _horner, weighted_series_coeffs
+from .recip_gamma import _WEIGHTED_CACHE_SIZE, SERIES_WINDOW, _horner, weighted_series_coeffs
 
 __all__ = [
     "e_integrand",
@@ -56,11 +60,49 @@ __all__ = [
 ]
 
 _SEGMENT_RULE_NODES = 24  # Gauss-Legendre per unit subinterval
+_NODES, _WEIGHTS = _LEGENDRE_RULES[_SEGMENT_RULE_NODES]
+_NODE_SHIFTS = tuple(node + 1.0 for node in _NODES)  # a segment of width 2h has u = h (node + 1)
+_FULL_U = tuple(0.5 * shift for shift in _NODE_SHIFTS)
+#: (u+1)(u+2) at the full-segment nodes; segment t0 extends it by (u+t0).
+_FULL_DENOMS = tuple((u + 1.0) * (u + 2.0) for u in _FULL_U)
 
 
 def e_integrand(x: float, t: float) -> float:
     """x^t / Gamma(t+1) for x > 0, t >= 0."""
     return math.exp(t * math.log(x) - math.lgamma(t + 1.0))
+
+
+def _head(coeffs: tuple[float, ...], head: float) -> tuple[float, float, float]:
+    """sum_n coeffs[n] head^(n+1) / (n+1), its truncation bound and its round-off floor."""
+    terms = list(map(truediv, map(mul, coeffs, accumulate(repeat(head, len(coeffs)), mul)),
+                     range(1, len(coeffs) + 1)))
+    # reduce, not sum(): from Python 3.12 on sum() compensates float sums, moving E's bits
+    total = reduce(add, terms, 0.0)
+    peak = max(0.0, *map(abs, terms))
+    trunc = abs(coeffs[-1]) * head ** len(coeffs) * 2.0
+    return total, trunc, MACHINE_EPS * peak * 8.0
+
+
+class _SeriesState:
+    """E_series's z-independent work at one x, shared by every z.
+
+    The coefficients, the head over the whole window (``_head``) and the
+    weight * series value at each full-segment node; the last two stay None
+    until a call first needs them.
+    """
+
+    __slots__ = ("coeffs", "window_head", "full_products")
+
+    def __init__(self, coeffs: tuple[float, ...]):
+        self.coeffs = coeffs
+        self.window_head = None
+        self.full_products = None
+
+
+@lru_cache(maxsize=_WEIGHTED_CACHE_SIZE)
+def _series_state(x: float) -> _SeriesState:
+    """The state of x, bounded like the coefficient cache it draws on."""
+    return _SeriesState(weighted_series_coeffs(x))
 
 
 def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
@@ -69,11 +111,12 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     Single-centre for z <= 3 (``SERIES_WINDOW``); past that, unit
     subintervals [t0, t0+1] are integrated with the recentred representation
     x^t0 series(u) / ((u+1)...(u+t0)), whose series argument u stays in
-    [0, 1].  The series values at the nodes are computed once and shared by
-    every full subinterval; a final partial one evaluates its own.
-    ``terms_used`` adds the terms of every node series evaluated to the
-    head terms.  Agrees with E_quadrature to ~1e-13 relative over the
-    tested domain (x <= 50, z <= 30).
+    [0, 1].  The series values at the nodes of a full subinterval are shared
+    by all of them and cached per x, with the coefficients and the head sum
+    over the whole window; a final partial subinterval evaluates its own.
+    ``terms_used`` adds the terms of every node series the representation
+    evaluates to the head terms, cached or not.  Agrees with E_quadrature
+    to ~1e-13 relative over the tested domain (x <= 50, z <= 30).
     """
     if x <= 0:
         raise ValueError(f"E_series requires x > 0, got {x}")
@@ -83,42 +126,35 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         raise ValueError("tol must be positive")
     if z == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
-    coeffs = weighted_series_coeffs(x)
-    head = min(z, SERIES_WINDOW)
-    total = 0.0
-    peak = 0.0
+    state = _series_state(x)
+    coeffs = state.coeffs
     terms = len(coeffs)
-    power = head
-    for n, c in enumerate(coeffs):
-        term = c * power / (n + 1)
-        total += term
-        peak = max(peak, abs(term))
-        power *= head
-    trunc = abs(coeffs[-1]) * head ** len(coeffs) * 2.0
-    floor = MACHINE_EPS * peak * 8.0
-    if z > SERIES_WINDOW:
-        nodes, weights = _LEGENDRE_RULES[_SEGMENT_RULE_NODES]
-        # Each full segment's (u+1)...(u+t0) extends the previous one by a
-        # factor, in the order a fresh product takes, so the floats match it.
-        full_u = [0.5 * (node + 1.0) for node in nodes]
-        full_denoms = [(u + 1.0) * (u + 2.0) for u in full_u]
+    if not z > SERIES_WINDOW:  # not <=, so a nan z sums the head at nan
+        total, trunc, floor = _head(coeffs, min(z, SERIES_WINDOW))
+    else:
+        if state.window_head is None:
+            state.window_head = _head(coeffs, SERIES_WINDOW)
+        total, trunc, floor = state.window_head
         t0 = 3
         if z - t0 >= 1.0:  # a full segment runs; below z = 4 only the partial one does
-            full_values = [_horner(coeffs, u) for u in full_u]
+            if state.full_products is None:
+                state.full_products = tuple(
+                    map(mul, _WEIGHTS, [_horner(coeffs, u) for u in _FULL_U]))
             terms += _SEGMENT_RULE_NODES * len(coeffs)
+        # Each full segment's (u+1)...(u+t0) extends the previous one by a
+        # factor, in the order a fresh product takes, so the floats match it.
+        denoms = _FULL_DENOMS
         while t0 < z:
             if z - t0 >= 1.0:
-                full_denoms = [d * (u + t0) for d, u in zip(full_denoms, full_u)]
-                half, values, denoms = 0.5, full_values, full_denoms
+                denoms = tuple(map(mul, denoms, map(add, _FULL_U, repeat(t0))))
+                half, products = 0.5, state.full_products
             else:
                 half = 0.5 * (z - t0)
-                part_u = [half * (node + 1.0) for node in nodes]
-                values = [_horner(coeffs, u) for u in part_u]
+                part_u = [half * shift for shift in _NODE_SHIFTS]
+                products = map(mul, _WEIGHTS, [_horner(coeffs, u) for u in part_u])
                 terms += _SEGMENT_RULE_NODES * len(coeffs)
-                denoms = [math.prod(u + j for j in range(1, t0 + 1)) for u in part_u]
-            segment = 0.0
-            for weight, value, denom in zip(weights, values, denoms):
-                segment += weight * value / denom
+                denoms = [math.prod(map(add, repeat(u, t0), range(1, t0 + 1))) for u in part_u]
+            segment = reduce(add, map(truediv, products, denoms), 0.0)
             seg_value = x**t0 * segment * half
             total += seg_value
             floor += MACHINE_EPS * (abs(seg_value) + 1.0) * 8.0

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from cpoch.core import EULER_GAMMA, ConvergenceError, LogScaled
+from cpoch.core import EULER_GAMMA, ConvergenceError, LogScaled, reduced_argument
+from cpoch.recip_gamma import weighted_series_coeffs
 from cpoch.rho import (
     E_deriv_z,
     E_quadrature,
     E_series,
+    _series_state,
     e_integrand,
     mu_function,
     nu,
@@ -52,6 +54,23 @@ RHO_PINNED = [
 ]
 
 
+def _per_x_caches(state: str, x: float, z: float) -> None:
+    """Clear the per-x caches; with ``warm``, fill them by an E_series call at another z.
+
+    The warming z lies past the series window with full segments, so every
+    part of the cached state (coefficients, window head, full-node values)
+    is in place before the pinned call.
+    """
+    weighted_series_coeffs.cache_clear()
+    _series_state.cache_clear()
+    if state == "warm":
+        E_series(x, z + 7.25)
+
+
+def _fields(result):
+    return (result.value.hex(), result.terms_used, result.tail_estimate.hex(), result.converged)
+
+
 class TestESeries:
     def test_empty_interval(self):
         result = E_series(1.7, 0.0)
@@ -70,9 +89,10 @@ class TestESeries:
     @pytest.mark.parametrize("x, z, value, terms, tail, converged", E_SERIES_PINNED,
                              ids=E_SERIES_PINNED_IDS)
     def test_pinned_bits(self, x, z, value, terms, tail, converged):
-        result = E_series(x, z)
-        assert (result.value.hex(), result.terms_used) == (value, terms)
-        assert (result.tail_estimate.hex(), result.converged) == (tail, converged)
+        # the cache-miss and cache-hit paths give the same bits in every field
+        for state in ("cold", "warm"):
+            _per_x_caches(state, x, z)
+            assert _fields(E_series(x, z)) == (value, terms, tail, converged), state
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -165,7 +185,9 @@ class TestRho:
 
     @pytest.mark.parametrize("x, y, z, value", RHO_PINNED)
     def test_pinned_bits(self, x, y, z, value):
-        assert rho(x, y, z).hex() == value
+        for state in ("cold", "warm"):
+            _per_x_caches(state, reduced_argument(x, y, z), z - 1.0)
+            assert rho(x, y, z).hex() == value, state
 
     def test_certificate_is_relative_to_rho(self):
         # E = 0.2577 carries an absolute tail of 3.77e-11, within tol for E,
