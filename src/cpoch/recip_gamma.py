@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 from .core import MACHINE_EPS, SeriesEval, zeta_hat
 from .discrete import _compositions
@@ -49,11 +48,6 @@ TABLE_ORDER = 110
 SERIES_WINDOW = 3.0
 
 _COMPOSITION_LIMIT = 20
-
-#: Distinct x whose shifted coefficients are kept, and the bound of the
-#: per-x state E_series builds from them; a z-sweep at fixed x then builds
-#: both once.
-_WEIGHTED_CACHE_SIZE = 64
 
 
 #: c_0 .. c_{TABLE_ORDER}, each correctly rounded.
@@ -149,14 +143,11 @@ def recip_gamma_series(t: float) -> SeriesEval:
     return SeriesEval(value, len(coeffs), tail, converged)
 
 
-@lru_cache(maxsize=_WEIGHTED_CACHE_SIZE)
 def weighted_series_coeffs(x: float) -> tuple[float, ...]:
     """Coefficients c_0(x) .. c_110(x) of t -> x^t / Gamma(t+1).
 
-    c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!, so c_n(1) = c_n.  Cached for
-    the ``_WEIGHTED_CACHE_SIZE`` (64) most recent x, like the per-x state
-    ``rho.E_series`` builds from them; the returned tuple is shared by
-    every caller.
+    c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!, so c_n(1) = c_n.  Built on
+    every call; ``rho`` keeps them in its per-x state.
     """
     if x <= 0:
         raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")

@@ -29,11 +29,13 @@ coefficient table instead is exact in theory but numerically dead in
 binary64: the shifted-coefficient sums carry terms of size ~exp(pi t0 / 2)
 that must cancel to reach tiny targets.)  Every full subinterval is
 integrated at the same Gauss-Legendre nodes u, so the node series values
-are shared by all of them and cached per x with the coefficients (as is the
-head sum over the whole window); from one subinterval to the next only x^t0
+are shared by all of them; from one subinterval to the next only x^t0
 changes and each node's denominator gains the factor (u+t0).  Only a final
-partial subinterval evaluates the series at nodes of its own, so a z-sweep
-at fixed x pays for the coefficients and the full-node series once.
+partial subinterval evaluates the series at nodes of its own.
+
+One per-x cache, ``_series_state``, holds the coefficients, the head sum
+over the whole window and the full-node series values, so a z-sweep at
+fixed x pays for each once; ``E_deriv_z`` reads its coefficients there too.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from operator import add, mul, truediv
 from .core import LOG_SCALED_FROM, MACHINE_EPS, ConvergenceError, LogScaled, SeriesEval
 from .core import reduced_argument
 from .quadrature import _LEGENDRE_RULES, QuadratureError, QuadratureRequest, integrate_adaptive
-from .recip_gamma import _WEIGHTED_CACHE_SIZE, SERIES_WINDOW, _horner, weighted_series_coeffs
+from .recip_gamma import SERIES_WINDOW, _horner, weighted_series_coeffs
 
 __all__ = [
     "e_integrand",
@@ -83,6 +85,10 @@ def _head(coeffs: tuple[float, ...], head: float) -> tuple[float, float, float]:
     return total, trunc, MACHINE_EPS * peak * 8.0
 
 
+#: Distinct x whose ``_SeriesState`` is kept; a z-sweep at fixed x builds it once.
+_SERIES_STATE_CACHE_SIZE = 64
+
+
 class _SeriesState:
     """E_series's z-independent work at one x, shared by every z.
 
@@ -99,9 +105,9 @@ class _SeriesState:
         self.full_products = None
 
 
-@lru_cache(maxsize=_WEIGHTED_CACHE_SIZE)
+@lru_cache(maxsize=_SERIES_STATE_CACHE_SIZE)
 def _series_state(x: float) -> _SeriesState:
-    """The state of x, bounded like the coefficient cache it draws on."""
+    """The state of x; the package's one per-x cache."""
     return _SeriesState(weighted_series_coeffs(x))
 
 
@@ -122,6 +128,8 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         raise ValueError(f"E_series requires x > 0, got {x}")
     if z < 0:
         raise ValueError(f"E_series requires z >= 0, got {z}")
+    if z == math.inf:  # one segment per unit: it would never return
+        raise ValueError(f"E_series requires a finite z, got {z}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if z == 0.0:
@@ -170,7 +178,11 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
 
     The pure-Python QAGS of ``integrate_adaptive`` (scipy's ``quad`` is only
     a test-time reference for it).  The integrand is ``e_integrand`` with
-    log x computed once: the same product t * log x, the same bits.
+    log x computed once: the same product t * log x, the same bits.  Past
+    ``nu_cutoff(x, tol)`` the rest of the integral is certified below tol/2,
+    so a larger z (+inf included) integrates to the cutoff at tol/2, the
+    call ``nu`` makes, and returns nu(x, tol) bit for bit; QAGS's nodes on
+    [0, z] would otherwise all miss the integrand's mass and certify 0.
     """
     if x <= 0:
         raise ValueError(f"E_quadrature requires x > 0, got {x}")
@@ -178,6 +190,9 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
         raise ValueError(f"E_quadrature requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
+    cutoff = nu_cutoff(x, tol)
+    if z > cutoff:
+        z, tol = cutoff, tol / 2.0
     log_x = math.log(x)
 
     def integrand(t: float) -> float:
@@ -280,6 +295,8 @@ def rho(x: float, y: float, z: float, tol: float = 1e-10) -> float | LogScaled:
         raise ValueError(f"rho requires y > 0, got {y}")
     if z < 1:
         raise ValueError(f"rho requires z >= 1, got {z}")
+    if z == math.inf:
+        raise ValueError(f"rho requires a finite z, got {z}")
     if z == 1.0:
         return 0.0
     w = reduced_argument(x, y, z)
@@ -318,7 +335,7 @@ def E_deriv_z(x: float, z: float, k: int = 1) -> float:
         raise ValueError(f"z must lie in [0, {SERIES_WINDOW}], got {z}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    coeffs = weighted_series_coeffs(x)
+    coeffs = _series_state(x).coeffs
     total = 0.0
     power = 1.0
     for n in range(len(coeffs) - k + 1):

@@ -271,9 +271,11 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
 def rtilde_closed(x: float, y: float, n: int) -> float | LogScaled:
     """Closed form x^n e_{n-1}(y (n-1)^2 / 2x) of the coefficient polynomial.
 
-    The float product where it is finite.  Past the binary64 range it is
-    summed in logs, float or LogScaled by the rule of ``cpoch.core``; that
-    needs x > 0 and y >= 0, and other signs raise OverflowError there.
+    The float product where it is finite.  Past the binary64 range (of
+    x^n, of e_{n-1} or of their product) it is formed in logs as
+    ``rtilde_ext`` forms it, n ln x + ``log_e_partial(n, w)``, float or
+    LogScaled by the rule of ``cpoch.core``; that needs x > 0 and y >= 0,
+    and other signs raise OverflowError there.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -289,22 +291,7 @@ def rtilde_closed(x: float, y: float, n: int) -> float | LogScaled:
     if x < 0 or w < 0:
         raise OverflowError(f"rtilde_closed({x}, {y}, {n}) leaves binary64; "
                             "its log-scaled form needs x > 0 and y >= 0")
-    return exp_or_log_scaled(n * math.log(x) + _log_e_partial_sum(n, w))
-
-
-def _log_e_partial_sum(n: int, w: float) -> float:
-    """ln e_{n-1}(w) for w >= 0 by log-sum-exp over the n terms."""
-    if w == 0.0:
-        return 0.0
-    logs = []
-    log_term = 0.0
-    logs.append(log_term)
-    lw = math.log(w)
-    for k in range(1, n):
-        log_term += lw - math.log(k)
-        logs.append(log_term)
-    peak = max(logs)
-    return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
+    return exp_or_log_scaled(n * math.log(x) + log_e_partial(n, w))
 
 
 def rtilde_ext(x: float, y: float, z: float) -> float | LogScaled:

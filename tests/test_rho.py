@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cpoch
 from cpoch.core import EULER_GAMMA, ConvergenceError, LogScaled, reduced_argument
-from cpoch.recip_gamma import weighted_series_coeffs
 from cpoch.rho import (
     E_deriv_z,
     E_quadrature,
@@ -55,13 +59,12 @@ RHO_PINNED = [
 
 
 def _per_x_caches(state: str, x: float, z: float) -> None:
-    """Clear the per-x caches; with ``warm``, fill them by an E_series call at another z.
+    """Clear the per-x cache; with ``warm``, fill it by an E_series call at another z.
 
     The warming z lies past the series window with full segments, so every
     part of the cached state (coefficients, window head, full-node values)
     is in place before the pinned call.
     """
-    weighted_series_coeffs.cache_clear()
     _series_state.cache_clear()
     if state == "warm":
         E_series(x, z + 7.25)
@@ -100,6 +103,31 @@ class TestESeries:
         with pytest.raises(ValueError):
             E_series(1.0, -1.0)
 
+    def test_infinite_z_is_refused(self):
+        # E_series integrates one segment per unit of z, so z = inf would
+        # never return; run in a child with a timeout so that such a
+        # regression fails instead of hanging the session
+        code = ("import math\n"
+                "from cpoch.rho import E_series, rho\n"
+                "for call in (lambda: E_series(0.5, math.inf), lambda: rho(1.0, 1.0, math.inf)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        src = str(Path(cpoch.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.splitlines() == [
+            "E_series requires a finite z, got inf",
+            "rho requires a finite z, got inf",
+        ]
+
+    def test_nan_z_is_unconverged(self):
+        result = E_series(0.5, math.nan)
+        assert math.isnan(result.value) and not result.converged
+        with pytest.raises(ConvergenceError):
+            rho(1.0, 1.0, math.nan)
+
 
 class TestEQuadrature:
     def test_zero(self):
@@ -111,6 +139,12 @@ class TestEQuadrature:
 
     def test_mutual(self):
         assert abs(E_quadrature(2.0, 4.0, 1e-12) - E_series(2.0, 4.0, 1e-10).value) <= 1e-8
+
+    @pytest.mark.parametrize("x, z", [(2.0, 1e5), (0.5, 1e9), (2.0, math.inf)])
+    def test_past_the_cutoff_is_nu(self, x, z):
+        # QAGS's first node on [0, z] lies at 0.002 z, past the integrand's
+        # mass, so integrating all of [0, z] would certify 0
+        assert E_quadrature(x, z) == nu(x)
 
 
 class TestNu:

@@ -256,6 +256,24 @@ class TestEvaluations:
         assert big.log_magnitude > 710.0
         assert big.log_magnitude == pytest.approx(rtilde_poly(10, 2, 400).log_magnitude, rel=1e-13)
 
+    # ln rt(x, y, n) = n ln x + ln e_{n-1}(w) by 40-digit mpmath, rounded:
+    # 2787.009942752205660729854, 946.5298990996165272930614 and, where
+    # e_199(w) overflows and x^n underflows but their product is a float,
+    # exp(270.525603284735562530799) = 3.074515735395309328678833e+117
+    @pytest.mark.parametrize("x, y, n, expected", [
+        (10.0, 2.0, 400, LogScaled(1, 2787.0099427522057)),
+        (1e5, 1e5, 60, LogScaled(1, 946.5298990996165)),
+        (0.01, 0.015, 200, 3.074515735395309e+117),
+    ])
+    def test_closed_past_binary64_matches_mpmath(self, x, y, n, expected):
+        got = rtilde_closed(x, y, n)
+        if isinstance(expected, LogScaled):
+            assert isinstance(got, LogScaled) and got.sign == 1
+            assert got.log_magnitude == pytest.approx(expected.log_magnitude, rel=1e-15)
+        else:
+            # n ln x and ln e_199(w) are ~1e3, so their rounding is ~1e-13 of the value
+            assert got == pytest.approx(expected, rel=1e-12)
+
     def test_closed_overflow_without_log_form(self):
         # a negative x has no log-scaled form; leaving binary64 is an error
         with pytest.raises(OverflowError):
