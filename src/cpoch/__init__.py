@@ -54,7 +54,6 @@ from .rho import (
     E_deriv_z,
     E_quadrature,
     E_series,
-    e_integrand,
     mu_function,
     nu,
     rho,

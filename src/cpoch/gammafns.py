@@ -10,10 +10,11 @@ Lentz continued fraction for x > z + 1, the standard numerically stable
 split.  Gamma itself is the platform libm implementation (accurate to a few
 ulp on (0, 171.62]).
 
-Gamma, Gamma_y and the continuous Pochhammer return ``float | LogScaled``
-by the one rule of ``cpoch.core``: a value whose natural log exceeds
-``LOG_SCALED_FROM`` is a ``LogScaled``, any other a float.  For Gamma that
-means LogScaled from z ~ 171.43 on and for 0 < z < ~1.512e-308.
+Gamma, e_{z-1}, Gamma_y and the continuous Pochhammer return
+``float | LogScaled`` by the one rule of ``cpoch.core``: a value whose
+natural log exceeds ``LOG_SCALED_FROM`` is a ``LogScaled``, any other a
+float.  For Gamma that means LogScaled from z ~ 171.43 on and for
+0 < z < ~1.512e-308.
 """
 
 from __future__ import annotations
@@ -192,19 +193,23 @@ def e_partial_sum(n: int, x: float) -> float:
     return total
 
 
-def e_partial(z: float, x: float) -> float:
+def e_partial(z: float, x: float) -> float | LogScaled:
     """Partial exponential of real order: e_{z-1}(x) = e^x Gamma(z, x) / Gamma(z).
 
-    Integer z uses the direct sum; other orders go through Q(z, x).  Both
-    paths agree to ~1e-12 relative where they overlap.
+    Integer z uses the direct sum where it is finite; other orders, and an
+    integer sum past binary64, go through ``log_e_partial``, float or
+    LogScaled by the rule of ``cpoch.core``.  Both paths agree to ~1e-12
+    relative where they overlap.
     """
     if z <= 0:
         raise ValueError(f"e_partial requires z > 0, got {z}")
     if x < 0:
         raise ValueError(f"e_partial requires x >= 0, got {x}")
     if z == int(z):
-        return e_partial_sum(int(z), x)
-    return math.exp(log_e_partial(z, x))
+        total = e_partial_sum(int(z), x)
+        if math.isfinite(total) or math.isinf(x):  # e_{n-1}(inf) is inf
+            return total
+    return exp_or_log_scaled(log_e_partial(z, x))
 
 
 def gamma_y(y: float, x: float) -> float | LogScaled:

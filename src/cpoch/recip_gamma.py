@@ -151,8 +151,6 @@ def weighted_series_coeffs(x: float) -> tuple[float, ...]:
     """
     if x <= 0:
         raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")
-    if x == 1.0:
-        return _TABLE
     lx = math.log(x)
     # c_n(x) = sum_k c_{n-k} lx^k / k!, all orders from one list of lx^k / k!;
     # map stops at the shorter operand, c_n .. c_0, so no slice of log_powers.

@@ -16,8 +16,9 @@ E(x, z) = sum_{n>=1} c_{n-1}(x) z^n / n built from the shifted
 reciprocal-gamma coefficients c_0(x) .. c_110(x) of
 ``recip_gamma.weighted_series_coeffs`` (recentred on unit subintervals
 past the series window z = 3), and adaptive quadrature of the integrand.
-nu and mu add certified Stirling-type tail bounds on top of the
-quadrature.
+Both take z in [0, inf]: past nu's certified cutoff both stop there and
+charge tol/2 for the rest, so E is nu(x) = E(x, inf) there.  mu adds its
+own Stirling-type tail bound on top of the quadrature.
 
 Recentring detail: on [t0, t0+1] with integer t0 the integrand factors
 through the gamma functional equation as
@@ -51,7 +52,6 @@ from .quadrature import _LEGENDRE_RULES, QuadratureError, QuadratureRequest, int
 from .recip_gamma import SERIES_WINDOW, _horner, weighted_series_coeffs
 
 __all__ = [
-    "e_integrand",
     "E_series",
     "E_quadrature",
     "nu",
@@ -67,11 +67,6 @@ _NODE_SHIFTS = tuple(node + 1.0 for node in _NODES)  # a segment of width 2h has
 _FULL_U = tuple(0.5 * shift for shift in _NODE_SHIFTS)
 #: (u+1)(u+2) at the full-segment nodes; segment t0 extends it by (u+t0).
 _FULL_DENOMS = tuple((u + 1.0) * (u + 2.0) for u in _FULL_U)
-
-
-def e_integrand(x: float, t: float) -> float:
-    """x^t / Gamma(t+1) for x > 0, t >= 0."""
-    return math.exp(t * math.log(x) - math.lgamma(t + 1.0))
 
 
 def _head(coeffs: tuple[float, ...], head: float) -> tuple[float, float, float]:
@@ -120,25 +115,26 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     [0, 1].  The series values at the nodes of a full subinterval are shared
     by all of them and cached per x, with the coefficients and the head sum
     over the whole window; a final partial subinterval evaluates its own.
-    ``terms_used`` adds the terms of every node series the representation
-    evaluates to the head terms, cached or not.  Agrees with E_quadrature
-    to ~1e-13 relative over the tested domain (x <= 50, z <= 30).
+    A z past ``nu_cutoff(x, tol)``, +inf included, stops at the cutoff and
+    adds tol/2 to the tail.  ``terms_used`` adds the terms of every node
+    series the representation evaluates to the head terms, cached or not.
+    Agrees with E_quadrature to ~1e-13 relative over the tested domain
+    (x <= 50, z <= 30).
     """
     if x <= 0:
         raise ValueError(f"E_series requires x > 0, got {x}")
     if z < 0:
         raise ValueError(f"E_series requires z >= 0, got {z}")
-    if z == math.inf:  # one segment per unit: it would never return
-        raise ValueError(f"E_series requires a finite z, got {z}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if z == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
+    z, _, rest = _cut_at_nu(x, z, tol)
     state = _series_state(x)
     coeffs = state.coeffs
     terms = len(coeffs)
     if not z > SERIES_WINDOW:  # not <=, so a nan z sums the head at nan
-        total, trunc, floor = _head(coeffs, min(z, SERIES_WINDOW))
+        total, trunc, floor = _head(coeffs, z)
     else:
         if state.window_head is None:
             state.window_head = _head(coeffs, SERIES_WINDOW)
@@ -167,7 +163,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
             total += seg_value
             floor += MACHINE_EPS * (abs(seg_value) + 1.0) * 8.0
             t0 += 1
-    tail = trunc + floor
+    tail = trunc + floor + rest
     converged = tail <= tol * max(1.0, abs(total))
     return SeriesEval(total, terms, tail, converged)
 
@@ -177,12 +173,10 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
     independent counterpart.
 
     The pure-Python QAGS of ``integrate_adaptive`` (scipy's ``quad`` is only
-    a test-time reference for it).  The integrand is ``e_integrand`` with
-    log x computed once: the same product t * log x, the same bits.  Past
-    ``nu_cutoff(x, tol)`` the rest of the integral is certified below tol/2,
-    so a larger z (+inf included) integrates to the cutoff at tol/2, the
-    call ``nu`` makes, and returns nu(x, tol) bit for bit; QAGS's nodes on
-    [0, z] would otherwise all miss the integrand's mass and certify 0.
+    a test-time reference for it).  A z past ``nu_cutoff(x, tol)``, +inf
+    included, integrates to the cutoff at tol/2 and so returns nu(x, tol);
+    QAGS's nodes on [0, z] would otherwise all miss the integrand's mass
+    and certify 0.
     """
     if x <= 0:
         raise ValueError(f"E_quadrature requires x > 0, got {x}")
@@ -190,9 +184,7 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
         raise ValueError(f"E_quadrature requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
-    cutoff = nu_cutoff(x, tol)
-    if z > cutoff:
-        z, tol = cutoff, tol / 2.0
+    z, tol, _ = _cut_at_nu(x, z, tol)
     log_x = math.log(x)
 
     def integrand(t: float) -> float:
@@ -214,13 +206,22 @@ def nu_cutoff(x: float, tol: float) -> float:
     return max(30.0, math.e**2 * x, -math.log(tol / 2.0) + 1.0)
 
 
+def _cut_at_nu(x: float, z: float, tol: float) -> tuple[float, float, float]:
+    """(limit, tol on [0, limit], charge for the rest) of E(x, z) to tol: the
+    tail rule of both E engines.  Past ``nu_cutoff(x, tol)`` the rest is
+    certified below tol/2, so (cutoff, tol/2, tol/2); else (z, tol, 0)."""
+    cutoff = nu_cutoff(x, tol)
+    if z > cutoff:
+        return cutoff, tol / 2.0, tol / 2.0
+    return z, tol, 0.0
+
+
 def nu(x: float, tol: float = 1e-10) -> float:
-    """nu(x) = integral_0^inf x^t / Gamma(t+1) dt with certified tail < tol."""
+    """nu(x) = E(x, inf) = integral_0^inf x^t / Gamma(t+1) dt, to within tol."""
     if x <= 0:
         raise ValueError(f"nu requires x > 0, got {x}")
-    cutoff = nu_cutoff(x, tol)
     try:
-        return E_quadrature(x, cutoff, tol / 2.0)
+        return E_quadrature(x, math.inf, tol)
     except QuadratureError as exc:
         raise ConvergenceError(f"nu({x}) quadrature failed: {exc}") from exc
 

@@ -268,14 +268,33 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
     return LogScaled(acc_sign, acc_log)
 
 
+def _log_closed_form(x: float, y: float, z: float) -> float:
+    """ln(x^z e_{z-1}(w)), w = y (z-1)^2 / 2x, for x > 0 and y >= 0: the log
+    route of ``rtilde_closed`` and ``rtilde_ext``.
+
+    z ln x + ``log_e_partial(z, w)`` while w is a float.  Past binary64
+    e_{z-1}(w) = w^(z-1) / Gamma(z) (1 + (z-1)/w + ...), whose last factor
+    rounds to 1 there, so its log is formed from ln w = ln y + 2 ln|z-1| -
+    ln 2x.
+    """
+    try:
+        w = reduced_argument(x, y, z)
+    except OverflowError:  # (z-1)^2, while w itself may be a float
+        w = y / (2.0 * x) * (z - 1.0) * (z - 1.0)
+    if w == math.inf:
+        log_w = math.log(y) + 2.0 * math.log(abs(z - 1.0)) - math.log(2.0 * x)
+        return z * math.log(x) + (z - 1.0) * log_w - math.lgamma(z)
+    return z * math.log(x) + log_e_partial(z, w)
+
+
 def rtilde_closed(x: float, y: float, n: int) -> float | LogScaled:
     """Closed form x^n e_{n-1}(y (n-1)^2 / 2x) of the coefficient polynomial.
 
     The float product where it is finite.  Past the binary64 range (of
-    x^n, of e_{n-1} or of their product) it is formed in logs as
-    ``rtilde_ext`` forms it, n ln x + ``log_e_partial(n, w)``, float or
-    LogScaled by the rule of ``cpoch.core``; that needs x > 0 and y >= 0,
-    and other signs raise OverflowError there.
+    x^n, of w, of e_{n-1} or of their product) it is formed in logs as
+    ``rtilde_ext`` forms it, float or LogScaled by the rule of
+    ``cpoch.core``; that needs x > 0 and y >= 0, and other signs raise
+    OverflowError there.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -291,7 +310,7 @@ def rtilde_closed(x: float, y: float, n: int) -> float | LogScaled:
     if x < 0 or w < 0:
         raise OverflowError(f"rtilde_closed({x}, {y}, {n}) leaves binary64; "
                             "its log-scaled form needs x > 0 and y >= 0")
-    return exp_or_log_scaled(n * math.log(x) + log_e_partial(n, w))
+    return exp_or_log_scaled(_log_closed_form(x, y, n))
 
 
 def rtilde_ext(x: float, y: float, z: float) -> float | LogScaled:
@@ -299,7 +318,8 @@ def rtilde_ext(x: float, y: float, z: float) -> float | LogScaled:
 
     Always evaluated through the incomplete-gamma route, so that at integer
     z it provides a path independent of the closed-form sum.  Formed in
-    logs; float or LogScaled by the rule of ``cpoch.core``.
+    logs, also where w itself leaves binary64; float or LogScaled by the
+    rule of ``cpoch.core``.
     """
     if x <= 0:
         raise ValueError(f"rtilde_ext requires x > 0, got {x}")
@@ -307,8 +327,7 @@ def rtilde_ext(x: float, y: float, z: float) -> float | LogScaled:
         raise ValueError(f"rtilde_ext requires y >= 0, got {y}")
     if z <= 0:
         raise ValueError(f"rtilde_ext requires z > 0, got {z}")
-    w = reduced_argument(x, y, z)
-    return exp_or_log_scaled(z * math.log(x) + log_e_partial(z, w))
+    return exp_or_log_scaled(_log_closed_form(x, y, z))
 
 
 def rtilde_series_lower(x: float, y: float, z: float) -> SeriesEval:

@@ -151,6 +151,17 @@ class TestPartialExponential:
     def test_negative_argument_sum(self):
         assert e_partial_sum(3, -2.0) == 1.0 - 2.0 + 2.0
 
+    # ln e_{z-1}(x) by 40-digit mpmath: past binary64 e_partial is LogScaled,
+    # where it returned inf (integer z) or raised OverflowError
+    @pytest.mark.parametrize("z, x, log_value", [
+        (800, 800.0, 799.2974051051622954),
+        (10000.5, 1e4, 9999.308181758755015),
+    ])
+    def test_log_scaled_past_binary64(self, z, x, log_value):
+        got = e_partial(z, x)
+        assert isinstance(got, LogScaled) and got.sign == 1
+        assert got.log_magnitude == pytest.approx(log_value, rel=1e-14)
+
 
 class TestGammaY:
     def test_reduces_to_gamma(self):

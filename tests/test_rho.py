@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,14 +10,15 @@ import pytest
 
 import cpoch
 from cpoch.core import EULER_GAMMA, ConvergenceError, LogScaled, reduced_argument
+from cpoch.quadrature import QuadratureError
 from cpoch.rho import (
     E_deriv_z,
     E_quadrature,
     E_series,
     _series_state,
-    e_integrand,
     mu_function,
     nu,
+    nu_cutoff,
     rho,
 )
 from cpoch.verify import E_SERIES_X, E_SERIES_Z
@@ -48,6 +51,11 @@ E_SERIES_PINNED_IDS = [
     "-".join(map(str, (x, z, value, 111 + 2664 * max(0, math.ceil(z - 3)), tail, converged)))
     for x, z, value, _, tail, converged in E_SERIES_PINNED
 ]
+# sha256 of E_series's fields over this grid.  Every z lies before nu's
+# cutoff (>= 30), where the cutoff rule moves no bit.
+E_SERIES_GRID_X = (1e-3, 0.0033, 0.011, 0.036, 0.12, 0.39, 1.28, 4.2, 14.0, 46.0, 150.0, 500.0)
+E_SERIES_GRID_Z = (0.4, 1.7, 2.9, 3.0, 3.2, 4.0, 5.5, 9.0, 14.25, 20.0, 27.7, 30.0)
+E_SERIES_GRID_SHA256 = "c06f8eb453719d6766d2c91f29f9ec3bcd405ac7f111a3cda3dc8f4e9299ab25"
 RHO_PINNED = [
     (1.0, 1.0, 2.0, "0x1.90dcccb6c92a1p-1"),
     (2.0, 0.5, 4.5, "0x1.5e80f0635dbfbp+6"),
@@ -97,30 +105,48 @@ class TestESeries:
             _per_x_caches(state, x, z)
             assert _fields(E_series(x, z)) == (value, terms, tail, converged), state
 
+    def test_grid_bits(self):
+        _series_state.cache_clear()
+        digest = hashlib.sha256()
+        for x in E_SERIES_GRID_X:
+            for z in E_SERIES_GRID_Z:
+                digest.update(repr(_fields(E_series(x, z))).encode())
+        assert digest.hexdigest() == E_SERIES_GRID_SHA256
+
     def test_domain(self):
         with pytest.raises(ValueError):
             E_series(0.0, 1.0)
         with pytest.raises(ValueError):
             E_series(1.0, -1.0)
 
-    def test_infinite_z_is_refused(self):
-        # E_series integrates one segment per unit of z, so z = inf would
-        # never return; run in a child with a timeout so that such a
-        # regression fails instead of hanging the session
+    def test_infinite_z(self):
+        # E_series integrates one segment per unit of z up to nu's cutoff, so
+        # z = inf is nu; rho still refuses it.  Run in a child with a timeout
+        # so that a regression to a segment per unit of an infinite z fails
+        # instead of hanging the session
         code = ("import math\n"
-                "from cpoch.rho import E_series, rho\n"
-                "for call in (lambda: E_series(0.5, math.inf), lambda: rho(1.0, 1.0, math.inf)):\n"
-                "    try:\n"
-                "        call()\n"
-                "    except ValueError as exc:\n"
-                "        print(exc)\n")
+                "from cpoch.rho import E_series, nu, rho\n"
+                "result = E_series(0.5, math.inf)\n"
+                "print(result.converged, abs(result.value - nu(0.5)) <= 1e-12 * nu(0.5))\n"
+                "try:\n"
+                "    rho(1.0, 1.0, math.inf)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
         src = str(Path(cpoch.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, timeout=60, check=True)
-        assert out.stdout.splitlines() == [
-            "E_series requires a finite z, got inf",
-            "rho requires a finite z, got inf",
-        ]
+        assert out.stdout.splitlines() == ["True True", "rho requires a finite z, got inf"]
+
+    @pytest.mark.parametrize("x, z", [(0.5, 1e5), (2.0, 1e9)])
+    def test_past_the_cutoff_is_nu(self, x, z):
+        # the segments stop at the cutoff and the tail is charged tol/2
+        tol = 1e-10
+        result = E_series(x, z, tol)
+        assert result.converged
+        assert abs(result.value - nu(x)) <= 1e-12 * nu(x)
+        at_cutoff = E_series(x, nu_cutoff(x, tol), tol)
+        assert result.value == at_cutoff.value
+        assert result.tail_estimate == at_cutoff.tail_estimate + tol / 2.0
 
     def test_nan_z_is_unconverged(self):
         result = E_series(0.5, math.nan)
@@ -160,6 +186,20 @@ class TestNu:
     def test_domain(self):
         with pytest.raises(ValueError):
             nu(0.0)
+
+    def test_is_E_at_infinity(self):
+        # bit for bit on a seeded log grid of x in [1e-3, 800]; nu(800)
+        # overflows, and then both raise the same error
+        rng = random.Random(2401)
+        for x in [1e-3, 800.0] + [10.0 ** rng.uniform(-3.0, math.log10(800.0)) for _ in range(38)]:
+            tol = 10.0 ** rng.uniform(-13.0, -6.0)
+            outcomes = []
+            for call in (lambda: nu(x, tol), lambda: E_quadrature(x, math.inf, tol)):
+                try:
+                    outcomes.append(call().hex())
+                except (OverflowError, ConvergenceError, QuadratureError) as exc:
+                    outcomes.append(type(exc).__name__)
+            assert outcomes[0] == outcomes[1], (x, tol)
 
 
 class TestMu:
@@ -313,7 +353,3 @@ class TestBounds:
 
     def test_laplace_monotonicity(self, verify_cases):
         verify_cases.check("analogue2/laplace_monotonicity")
-
-    def test_integrand_helper(self):
-        assert e_integrand(1.0, 0.0) == 1.0
-        assert e_integrand(2.0, 3.0) == pytest.approx(8.0 / 6.0, rel=1e-14)

@@ -274,6 +274,23 @@ class TestEvaluations:
             # n ln x and ln e_199(w) are ~1e3, so their rounding is ~1e-13 of the value
             assert got == pytest.approx(expected, rel=1e-12)
 
+    # 60-digit mpmath of ln(x^z e_{z-1}(w)) where w = y (z-1)^2 / 2x leaves
+    # binary64 (every z here is an integer, so e_{z-1}(w) is the finite sum
+    # w^(z-1)/(z-1)! sum_j (z-1)!/((z-1-j)! w^j), whose terms past j = 4 are
+    # below 1e-1500), and where only (z-1)^2 overflows: w = 5e99 is far below
+    # z there, so e_{z-1}(w) = e^w
+    @pytest.mark.parametrize("form, x, y, z, log_value", [
+        (rtilde_closed, 1e-300, 1e308, 50, 34262.70712898898296),
+        (rtilde_ext, 1e-300, 1e308, 50.0, 34262.70712898898296),
+        (rtilde_closed, 1.0, 1e308, 10**6, 723317839.8743054844),
+        (rtilde_ext, 2.0, 1e308, 1e200, 1.1700200800604152267e203),
+        (rtilde_ext, 1.0, 1e-300, 1e200, 4.9999999999999998226e99),
+    ])
+    def test_past_the_range_of_w_matches_mpmath(self, form, x, y, z, log_value):
+        got = form(x, y, z)
+        assert isinstance(got, LogScaled) and got.sign == 1
+        assert got.log_magnitude == pytest.approx(log_value, rel=1e-15)
+
     def test_closed_overflow_without_log_form(self):
         # a negative x has no log-scaled form; leaving binary64 is an error
         with pytest.raises(OverflowError):
