@@ -154,8 +154,12 @@ def exp_or_log_scaled(log_value: float) -> "float | LogScaled":
 
 def reduced_argument(x: float, y: float, z: float) -> float:
     """w = y (z-1)^2 / 2x of both analogues; y / 2x goes first only where
-    y (z-1)^2 overflows, so that a moderate w stays finite."""
-    numerator = y * (z - 1.0) ** 2
+    y (z-1)^2 overflows, so that a moderate w stays finite, and (z-1)^2 is
+    a product only where the power itself leaves binary64."""
+    try:
+        numerator = y * (z - 1.0) ** 2
+    except OverflowError:  # w itself may still be a float
+        return y / (2.0 * x) * (z - 1.0) * (z - 1.0)
     if math.isinf(numerator):
         return (y / (2.0 * x)) * (z - 1.0) ** 2
     return numerator / (2.0 * x)

@@ -43,6 +43,9 @@ GAMMA_OVERFLOW_Z = 171.624
 #: math.gamma in gamma_y.
 GAMMA_TINY_Z = 1.0 / sys.float_info.max
 
+#: e^LOG_SCALED_FROM: a direct sum above it is a LogScaled by the core rule.
+_FLOAT_FROM = math.exp(LOG_SCALED_FROM)
+
 _MAX_SERIES_TERMS = 10_000
 _MAX_CF_TERMS = 10_000
 _TINY = 1e-300
@@ -196,10 +199,10 @@ def e_partial_sum(n: int, x: float) -> float:
 def e_partial(z: float, x: float) -> float | LogScaled:
     """Partial exponential of real order: e_{z-1}(x) = e^x Gamma(z, x) / Gamma(z).
 
-    Integer z uses the direct sum where it is finite; other orders, and an
-    integer sum past binary64, go through ``log_e_partial``, float or
-    LogScaled by the rule of ``cpoch.core``.  Both paths agree to ~1e-12
-    relative where they overlap.
+    Float or LogScaled by the rule of ``cpoch.core``.  Integer z uses the
+    direct sum wherever the rule keeps a float; other orders, and an integer
+    sum past ``LOG_SCALED_FROM``, go through ``log_e_partial``.  Both paths
+    agree to ~1e-12 relative where they overlap.
     """
     if z <= 0:
         raise ValueError(f"e_partial requires z > 0, got {z}")
@@ -207,7 +210,7 @@ def e_partial(z: float, x: float) -> float | LogScaled:
         raise ValueError(f"e_partial requires x >= 0, got {x}")
     if z == int(z):
         total = e_partial_sum(int(z), x)
-        if math.isfinite(total) or math.isinf(x):  # e_{n-1}(inf) is inf
+        if not total > _FLOAT_FROM or math.isinf(x):  # e_{n-1}(inf) is inf
             return total
     return exp_or_log_scaled(log_e_partial(z, x))
 

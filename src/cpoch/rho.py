@@ -16,9 +16,8 @@ E(x, z) = sum_{n>=1} c_{n-1}(x) z^n / n built from the shifted
 reciprocal-gamma coefficients c_0(x) .. c_110(x) of
 ``recip_gamma.weighted_series_coeffs`` (recentred on unit subintervals
 past the series window z = 3), and adaptive quadrature of the integrand.
-Both take z in [0, inf]: past nu's certified cutoff both stop there and
-charge tol/2 for the rest, so E is nu(x) = E(x, inf) there.  mu adds its
-own Stirling-type tail bound on top of the quadrature.
+Both stop at nu's certified cutoff, so E(x, z > cutoff) is nu(x) = E(x, inf);
+mu adds its own Stirling-type tail bound on top of the quadrature.
 
 Recentring detail: on [t0, t0+1] with integer t0 the integrand factors
 through the gamma functional equation as
@@ -116,10 +115,11 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     by all of them and cached per x, with the coefficients and the head sum
     over the whole window; a final partial subinterval evaluates its own.
     A z past ``nu_cutoff(x, tol)``, +inf included, stops at the cutoff and
-    adds tol/2 to the tail.  ``terms_used`` adds the terms of every node
-    series the representation evaluates to the head terms, cached or not.
-    Agrees with E_quadrature to ~1e-13 relative over the tested domain
-    (x <= 50, z <= 30).
+    adds its bound e^-cutoff on the rest to the tail (for x above ~28, x^t0
+    overflows first: OverflowError).  ``terms_used`` adds the terms of every
+    node series the representation evaluates to the head terms, cached or
+    not.  Agrees with E_quadrature to ~1e-13 relative over the tested
+    domain (x <= 50, z <= 30).
     """
     if x <= 0:
         raise ValueError(f"E_series requires x > 0, got {x}")
@@ -207,12 +207,12 @@ def nu_cutoff(x: float, tol: float) -> float:
 
 
 def _cut_at_nu(x: float, z: float, tol: float) -> tuple[float, float, float]:
-    """(limit, tol on [0, limit], charge for the rest) of E(x, z) to tol: the
+    """(limit, tol on [0, limit], bound on the rest) of E(x, z) to tol: the
     tail rule of both E engines.  Past ``nu_cutoff(x, tol)`` the rest is
-    certified below tol/2, so (cutoff, tol/2, tol/2); else (z, tol, 0)."""
+    below e^-cutoff <= tol/2e, so (cutoff, tol/2, e^-cutoff); else (z, tol, 0)."""
     cutoff = nu_cutoff(x, tol)
     if z > cutoff:
-        return cutoff, tol / 2.0, tol / 2.0
+        return cutoff, tol / 2.0, math.exp(-cutoff)
     return z, tol, 0.0
 
 

@@ -277,10 +277,7 @@ def _log_closed_form(x: float, y: float, z: float) -> float:
     rounds to 1 there, so its log is formed from ln w = ln y + 2 ln|z-1| -
     ln 2x.
     """
-    try:
-        w = reduced_argument(x, y, z)
-    except OverflowError:  # (z-1)^2, while w itself may be a float
-        w = y / (2.0 * x) * (z - 1.0) * (z - 1.0)
+    w = reduced_argument(x, y, z)
     if w == math.inf:
         log_w = math.log(y) + 2.0 * math.log(abs(z - 1.0)) - math.log(2.0 * x)
         return z * math.log(x) + (z - 1.0) * log_w - math.lgamma(z)

@@ -136,3 +136,10 @@ class TestOverflowRule:
     def test_reduced_argument_past_an_overflowing_numerator(self):
         assert reduced_argument(1e300, 1e300, 1e6) == 0.5 * (1e6 - 1.0) ** 2
 
+    def test_reduced_argument_past_an_overflowing_square(self):
+        # (z-1)^2 raises OverflowError as a power, although w = 5e99 is a float
+        with pytest.raises(OverflowError):
+            (1e200 - 1.0) ** 2
+        assert reduced_argument(1.0, 1e-300, 1e200) == 1e-300 / 2.0 * 1e200 * 1e200
+        assert reduced_argument(2.0, 1e308, 1e200) == math.inf
+

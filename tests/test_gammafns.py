@@ -152,9 +152,11 @@ class TestPartialExponential:
         assert e_partial_sum(3, -2.0) == 1.0 - 2.0 + 2.0
 
     # ln e_{z-1}(x) by 40-digit mpmath: past binary64 e_partial is LogScaled,
-    # where it returned inf (integer z) or raised OverflowError
+    # where it returned inf (integer z) or raised OverflowError; past
+    # LOG_SCALED_FROM a finite integer sum is LogScaled too
     @pytest.mark.parametrize("z, x, log_value", [
         (800, 800.0, 799.2974051051622954),
+        (800, 709.5, 709.4995450438206645),
         (10000.5, 1e4, 9999.308181758755015),
     ])
     def test_log_scaled_past_binary64(self, z, x, log_value):

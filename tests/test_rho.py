@@ -139,14 +139,16 @@ class TestESeries:
 
     @pytest.mark.parametrize("x, z", [(0.5, 1e5), (2.0, 1e9)])
     def test_past_the_cutoff_is_nu(self, x, z):
-        # the segments stop at the cutoff and the tail is charged tol/2
+        # the segments stop at the cutoff and the tail is charged the
+        # cutoff's bound e^-cutoff on the rest
         tol = 1e-10
         result = E_series(x, z, tol)
         assert result.converged
         assert abs(result.value - nu(x)) <= 1e-12 * nu(x)
-        at_cutoff = E_series(x, nu_cutoff(x, tol), tol)
+        cutoff = nu_cutoff(x, tol)
+        at_cutoff = E_series(x, cutoff, tol)
         assert result.value == at_cutoff.value
-        assert result.tail_estimate == at_cutoff.tail_estimate + tol / 2.0
+        assert result.tail_estimate == at_cutoff.tail_estimate + math.exp(-cutoff)
 
     def test_nan_z_is_unconverged(self):
         result = E_series(0.5, math.nan)
@@ -256,6 +258,19 @@ class TestRho:
         # leave binary64, an OverflowError the CLI reports as exit 3
         with pytest.raises(OverflowError):
             rho(1e300, 1e300, 1e6)
+
+    # z - 1 past nu's cutoff (30 here), x > 1 and a small w: x^z scales E's
+    # tail, so charging the rest more than its bound e^-cutoff would refuse
+    # these; values as recorded before E_series stopped at the cutoff
+    @pytest.mark.parametrize("x, y, z, value", [
+        (2.0, 1e-4, 40.0, "0x1.4e7542aa9e5a3p+38"),
+        (1.0, 3e-6, 93.0, "0x1.f4ec2a5fd8f57p-3"),
+        (3.0, 4e-4, 32.5, "0x1.1d705caacf1adp+50"),
+        (5.0, 2e-5, 130.0, "0x1.21e96c91be905p+300"),
+    ])
+    def test_past_nu_cutoff_stays_certified(self, x, y, z, value):
+        assert z - 1.0 > nu_cutoff(reduced_argument(x, y, z), 1e-10)
+        assert rho(x, y, z) == pytest.approx(float.fromhex(value), rel=1e-12)
 
     @pytest.mark.parametrize("x, y, z, value", RHO_PINNED)
     def test_pinned_bits(self, x, y, z, value):
