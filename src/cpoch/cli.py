@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import click
 
-from .core import ConvergenceError, LogScaled, SeriesEval
+from .core import ConvergenceError, LogScaled, NonFiniteInputError, SeriesEval
 from .discrete import pochhammer_discrete, stirling_triangle
 from .gammafns import gamma, gamma_y, pochhammer_continuous, regularized_q
 from .rho import E_quadrature, mu_function, nu, rho
@@ -96,7 +96,7 @@ def eval_command(target, x, y, z, alpha, beta, tol, log_scaled, fmt):
         raise click.UsageError(f"{target} requires --{', --'.join(missing)}")
     try:
         result = call(tol, **provided)
-    except (ConvergenceError, OverflowError) as exc:
+    except (ConvergenceError, OverflowError, NonFiniteInputError) as exc:
         click.echo(f"numerical failure in {target}: {exc}", err=True)
         sys.exit(3)
     except ValueError as exc:

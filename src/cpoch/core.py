@@ -33,6 +33,7 @@ __all__ = [
     "log_add",
     "reduced_argument",
     "ConvergenceError",
+    "NonFiniteInputError",
     "EULER_GAMMA",
     "zeta",
     "zeta_hat",
@@ -50,6 +51,12 @@ MACHINE_EPS = sys.float_info.epsilon  # 2**-52
 
 class ConvergenceError(RuntimeError):
     """A numerical routine could not certify its requested tolerance."""
+
+
+class NonFiniteInputError(ValueError):
+    """A nan or infinite argument where a finite one is required.  A
+    ValueError to library callers; the CLI reports it as a numerical
+    failure, as it reports the non-finite result such an argument gives."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,8 @@ class LogScaled:
 
     @staticmethod
     def from_float(x: float) -> "LogScaled":
+        if math.isnan(x):
+            raise ValueError("LogScaled.from_float requires a number, got nan")
         if x == 0.0:
             return LogScaled(0, float("-inf"))
         return LogScaled(1 if x > 0 else -1, math.log(abs(x)))

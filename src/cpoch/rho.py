@@ -34,13 +34,19 @@ changes and each node's denominator gains the factor (u+t0).  Only a final
 partial subinterval evaluates the series at nodes of its own.
 
 One per-x cache, ``_series_state``, holds the coefficients, the head sum
-over the whole window and the full-node series values, so a z-sweep at
-fixed x pays for each once; ``E_deriv_z`` reads its coefficients there too.
+over the whole window, the full-node series values and the running sum
+after each full segment, so a z-sweep at fixed x pays for each once and a
+call adds only its own partial segment; ``E_deriv_z`` reads its
+coefficients there too.  The full-node denominators depend on neither x
+nor z, so one module-level table holds them for every x.  Memory: per
+cached x (64 at most) one running entry per full segment a call reached,
+at most cutoff - 3; in the table one row per t0 any call reached.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul, truediv
@@ -64,8 +70,22 @@ _SEGMENT_RULE_NODES = 24  # Gauss-Legendre per unit subinterval
 _NODES, _WEIGHTS = _LEGENDRE_RULES[_SEGMENT_RULE_NODES]
 _NODE_SHIFTS = tuple(node + 1.0 for node in _NODES)  # a segment of width 2h has u = h (node + 1)
 _FULL_U = tuple(0.5 * shift for shift in _NODE_SHIFTS)
-#: (u+1)(u+2) at the full-segment nodes; segment t0 extends it by (u+t0).
-_FULL_DENOMS = tuple((u + 1.0) * (u + 2.0) for u in _FULL_U)
+#: Row t0 - 2 is (u+1)...(u+t0) at the full-segment nodes, for t0 = 2 up to
+#: the largest t0 any call has reached; shared by every x.
+_FULL_DENOMS = [tuple((u + 1.0) * (u + 2.0) for u in _FULL_U)]
+#: Held while a call appends to ``_FULL_DENOMS`` or to a state's running
+#: sums, so that concurrent callers never append a row or an entry twice.
+_GROWING = threading.Lock()
+
+
+def _full_denoms(t0: int) -> tuple[float, ...]:
+    """(u+1)...(u+t0) at the full-segment nodes; the caller holds ``_GROWING``.
+    Each row extends the one before by the factor (u+t0), in the order a
+    fresh product takes, so the floats match it."""
+    while len(_FULL_DENOMS) < t0 - 1:
+        factor = len(_FULL_DENOMS) + 2
+        _FULL_DENOMS.append(tuple(map(mul, _FULL_DENOMS[-1], map(add, _FULL_U, repeat(factor)))))
+    return _FULL_DENOMS[t0 - 2]
 
 
 def _head(coeffs: tuple[float, ...], head: float) -> tuple[float, float, float]:
@@ -79,6 +99,15 @@ def _head(coeffs: tuple[float, ...], head: float) -> tuple[float, float, float]:
     return total, trunc, MACHINE_EPS * peak * 8.0
 
 
+def _add_segment(total: float, floor: float, x: float, t0: int, products, denoms,
+                 half: float) -> tuple[float, float]:
+    """(total, floor) after adding the segment [t0, t0 + 2 half] of E at x:
+    x^t0 half sum_i products_i / denoms_i, and its round-off floor."""
+    segment = reduce(add, map(truediv, products, denoms), 0.0)
+    seg_value = x**t0 * segment * half
+    return total + seg_value, floor + MACHINE_EPS * (abs(seg_value) + 1.0) * 8.0
+
+
 #: Distinct x whose ``_SeriesState`` is kept; a z-sweep at fixed x builds it once.
 _SERIES_STATE_CACHE_SIZE = 64
 
@@ -86,23 +115,52 @@ _SERIES_STATE_CACHE_SIZE = 64
 class _SeriesState:
     """E_series's z-independent work at one x, shared by every z.
 
-    The coefficients, the head over the whole window (``_head``) and the
-    weight * series value at each full-segment node; the last two stay None
-    until a call first needs them.
+    The coefficients; once a call passes the window, the head's truncation
+    bound over the whole window (``_head``) and ``running``, the (total,
+    floor) after 0, 1, 2, ... full segments t0 = 3, 4, ..., begun from the
+    window head; and the weight * series value at each full-segment node,
+    which extends ``running``.  A call appends the segments no call at x
+    has reached and reads the entry at its own count.  The sums are added
+    in segment order whatever z asks, so every z reads the floats its own
+    loop over the segments would give; tol only moves the cutoff, which
+    caps the count.
     """
 
-    __slots__ = ("coeffs", "window_head", "full_products")
+    __slots__ = ("x", "coeffs", "window_trunc", "running", "full_products")
 
-    def __init__(self, coeffs: tuple[float, ...]):
+    def __init__(self, x: float, coeffs: tuple[float, ...]):
+        self.x = x
         self.coeffs = coeffs
-        self.window_head = None
+        self.window_trunc = None
+        self.running = None
         self.full_products = None
+
+    def after_full_segments(self, count: int) -> tuple[float, float, float]:
+        """(total, trunc, floor) of E from 0 to 3 + count: the head over the
+        window and ``count`` full segments."""
+        if self.running is None or count >= len(self.running):
+            with _GROWING:
+                if self.running is None:
+                    total, self.window_trunc, floor = _head(self.coeffs, SERIES_WINDOW)
+                    self.running = [(total, floor)]
+                running = self.running
+                if count >= len(running):
+                    if self.full_products is None:
+                        self.full_products = tuple(
+                            map(mul, _WEIGHTS, [_horner(self.coeffs, u) for u in _FULL_U]))
+                    total, floor = running[-1]
+                    for t0 in range(len(running) + 2, count + 3):
+                        total, floor = _add_segment(total, floor, self.x, t0, self.full_products,
+                                                    _full_denoms(t0), 0.5)
+                        running.append((total, floor))
+        total, floor = self.running[count]
+        return total, self.window_trunc, floor
 
 
 @lru_cache(maxsize=_SERIES_STATE_CACHE_SIZE)
 def _series_state(x: float) -> _SeriesState:
     """The state of x; the package's one per-x cache."""
-    return _SeriesState(weighted_series_coeffs(x))
+    return _SeriesState(x, weighted_series_coeffs(x))
 
 
 def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
@@ -111,18 +169,19 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     Single-centre for z <= 3 (``SERIES_WINDOW``); past that, unit
     subintervals [t0, t0+1] are integrated with the recentred representation
     x^t0 series(u) / ((u+1)...(u+t0)), whose series argument u stays in
-    [0, 1].  The series values at the nodes of a full subinterval are shared
-    by all of them and cached per x, with the coefficients and the head sum
-    over the whole window; a final partial subinterval evaluates its own.
+    [0, 1].  The running sum after each full subinterval is cached per x,
+    with the coefficients and the head sum over the whole window, and the
+    full-node denominators are shared by every x; so a call at a cached x
+    adds only its final partial subinterval, which evaluates its own nodes.
     A z past ``nu_cutoff(x, tol)``, +inf included, stops at the cutoff and
     adds its bound e^-cutoff on the rest to the tail (for x above ~28, x^t0
     overflows first: OverflowError).  ``terms_used`` adds the terms of every
     node series the representation evaluates to the head terms, cached or
     not.  Agrees with E_quadrature to ~1e-13 relative over the tested
-    domain (x <= 50, z <= 30).
+    domain (x <= 50, z <= 30).  A nan or infinite x is refused.
     """
-    if x <= 0:
-        raise ValueError(f"E_series requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"E_series requires a finite x > 0, got {x}")
     if z < 0:
         raise ValueError(f"E_series requires z >= 0, got {z}")
     if tol <= 0:
@@ -136,33 +195,20 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     if not z > SERIES_WINDOW:  # not <=, so a nan z sums the head at nan
         total, trunc, floor = _head(coeffs, z)
     else:
-        if state.window_head is None:
-            state.window_head = _head(coeffs, SERIES_WINDOW)
-        total, trunc, floor = state.window_head
-        t0 = 3
-        if z - t0 >= 1.0:  # a full segment runs; below z = 4 only the partial one does
-            if state.full_products is None:
-                state.full_products = tuple(
-                    map(mul, _WEIGHTS, [_horner(coeffs, u) for u in _FULL_U]))
+        # full segments [t0, t0+1] for t0 = 3 .. int(z) - 1; z is finite
+        # here, and z - t0 is exact for every integer t0 <= z
+        full = int(z) - 3
+        total, trunc, floor = state.after_full_segments(full)
+        if full:
             terms += _SEGMENT_RULE_NODES * len(coeffs)
-        # Each full segment's (u+1)...(u+t0) extends the previous one by a
-        # factor, in the order a fresh product takes, so the floats match it.
-        denoms = _FULL_DENOMS
-        while t0 < z:
-            if z - t0 >= 1.0:
-                denoms = tuple(map(mul, denoms, map(add, _FULL_U, repeat(t0))))
-                half, products = 0.5, state.full_products
-            else:
-                half = 0.5 * (z - t0)
-                part_u = [half * shift for shift in _NODE_SHIFTS]
-                products = map(mul, _WEIGHTS, [_horner(coeffs, u) for u in part_u])
-                terms += _SEGMENT_RULE_NODES * len(coeffs)
-                denoms = [math.prod(map(add, repeat(u, t0), range(1, t0 + 1))) for u in part_u]
-            segment = reduce(add, map(truediv, products, denoms), 0.0)
-            seg_value = x**t0 * segment * half
-            total += seg_value
-            floor += MACHINE_EPS * (abs(seg_value) + 1.0) * 8.0
-            t0 += 1
+        t0 = 3 + full
+        if t0 < z:  # a final partial segment
+            half = 0.5 * (z - t0)
+            part_u = [half * shift for shift in _NODE_SHIFTS]
+            products = map(mul, _WEIGHTS, [_horner(coeffs, u) for u in part_u])
+            denoms = [math.prod(map(add, repeat(u, t0), range(1, t0 + 1))) for u in part_u]
+            total, floor = _add_segment(total, floor, x, t0, products, denoms, half)
+            terms += _SEGMENT_RULE_NODES * len(coeffs)
     tail = trunc + floor + rest
     converged = tail <= tol * max(1.0, abs(total))
     return SeriesEval(total, terms, tail, converged)
@@ -176,10 +222,10 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
     a test-time reference for it).  A z past ``nu_cutoff(x, tol)``, +inf
     included, integrates to the cutoff at tol/2 and so returns nu(x, tol);
     QAGS's nodes on [0, z] would otherwise all miss the integrand's mass
-    and certify 0.
+    and certify 0.  A nan or infinite x is refused.
     """
-    if x <= 0:
-        raise ValueError(f"E_quadrature requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"E_quadrature requires a finite x > 0, got {x}")
     if z < 0:
         raise ValueError(f"E_quadrature requires z >= 0, got {z}")
     if z == 0.0:
@@ -218,8 +264,8 @@ def _cut_at_nu(x: float, z: float, tol: float) -> tuple[float, float, float]:
 
 def nu(x: float, tol: float = 1e-10) -> float:
     """nu(x) = E(x, inf) = integral_0^inf x^t / Gamma(t+1) dt, to within tol."""
-    if x <= 0:
-        raise ValueError(f"nu requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"nu requires a finite x > 0, got {x}")
     try:
         return E_quadrature(x, math.inf, tol)
     except QuadratureError as exc:
@@ -287,8 +333,9 @@ def rho(x: float, y: float, z: float, tol: float = 1e-10) -> float | LogScaled:
     continuity.  E is evaluated by ``E_series``, the coefficient machinery,
     which is smooth in the parameters; ``E_quadrature`` is its independent
     oracle.  Raises ConvergenceError unless E's series certifies ``tol`` and
-    x^z times its tail estimate stays within tol * max(1, |rho|).  The float
-    product x^z E, or LogScaled by the rule of ``cpoch.core``.
+    x^z times its tail estimate stays within tol * max(1, |rho|), and
+    OverflowError where w = y (z-1)^2 / 2x or E's segments leave binary64.
+    The float product x^z E, or LogScaled by the rule of ``cpoch.core``.
     """
     if x <= 0:
         raise ValueError(f"rho requires x > 0, got {x}")
@@ -301,6 +348,11 @@ def rho(x: float, y: float, z: float, tol: float = 1e-10) -> float | LogScaled:
     if z == 1.0:
         return 0.0
     w = reduced_argument(x, y, z)
+    if w == math.inf:
+        raise OverflowError(
+            f"rho's reduced argument w = y (z-1)^2 / 2x overflows at (x={x}, y={y}, z={z})")
+    if math.isnan(w):  # E_series refuses a nan argument; E is uncertified there
+        raise ConvergenceError(f"E is uncertified at a nan argument (x={x}, y={y}, z={z})")
     result = E_series(w, z - 1.0, tol)
     if not result.converged:
         raise ConvergenceError(

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (MACHINE_EPS, LogScaled, SeriesEval, exp_or_log_scaled, log_add,
-                   reduced_argument)
+from .core import (MACHINE_EPS, LogScaled, NonFiniteInputError, SeriesEval, exp_or_log_scaled,
+                   log_add, reduced_argument)
 from .discrete import _compositions
 from .gammafns import e_partial_sum, log_e_partial
 from .quadrature import gauss_hermite
@@ -237,10 +237,15 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
     sum forms each term's sign and log as ``LogScaled`` multiplication
     would, adds the terms in k order with ``log_add`` and builds one
     ``LogScaled`` at the end, so it equals the left fold of ``LogScaled``
-    additions bit for bit.
+    additions bit for bit.  A nan or infinite x or y is refused
+    (``NonFiniteInputError``).
     """
     if not 0 <= n <= RTILDE_POLY_MAX_N:
         raise ValueError(f"n must lie in [0, {RTILDE_POLY_MAX_N}], got {n}")
+    if not math.isfinite(x):
+        raise NonFiniteInputError(f"rtilde_poly requires a finite x, got {x}")
+    if not math.isfinite(y):
+        raise NonFiniteInputError(f"rtilde_poly requires a finite y, got {y}")
     row = _poly_row(n)
     if not log_scaled:
         total = 0.0

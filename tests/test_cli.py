@@ -115,6 +115,11 @@ class TestEval:
         result = runner.invoke(main, ["eval", "gamma", "--z", "-1"])
         assert result.exit_code == 2
 
+    def test_non_finite_E_argument_is_usage_error(self, runner):
+        result = runner.invoke(main, ["eval", "E", "--x", "inf", "--z", "5"])
+        assert result.exit_code == 2
+        assert "requires a finite x > 0, got inf" in result.output
+
     def test_rtilde_order_beyond_bound_is_usage_error(self, runner):
         # the coefficient row alone would take minutes to build
         result = runner.invoke(main, ["eval", "rtilde", "--x", "1e300", "--y", "1e300",
@@ -125,11 +130,13 @@ class TestEval:
         ["nu", "--x", "800"],
         ["rho", "--x", "1", "--y", "1", "--z", "100"],
         ["rho", "--x", "1e300", "--y", "1e300", "--z", "1e6"],
+        ["rho", "--x", "1e-300", "--y", "1e308", "--z", "50"],  # w itself overflows
     ])
     def test_overflow_is_numerical_failure(self, runner, args):
         result = runner.invoke(main, ["eval", *args])
         assert result.exit_code == 3
         assert "numerical failure" in result.stderr
+        assert "fsum" not in result.stderr
 
     @pytest.mark.parametrize("flags", [[], ["--log-scaled"]])
     def test_overflowing_rtilde_sum_is_log_scaled(self, runner, flags):

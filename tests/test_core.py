@@ -90,6 +90,10 @@ class TestLogScaled:
         expected = a + b
         assert abs(total.to_float() - expected) <= 1e-12 * expected
 
+    def test_from_float_refuses_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            LogScaled.from_float(math.nan)
+
     def test_mixed_sign_addition(self):
         total = LogScaled.from_float(3.0) + LogScaled.from_float(-2.0)
         assert abs(total.to_float() - 1.0) < 1e-12

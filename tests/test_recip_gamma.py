@@ -139,6 +139,27 @@ class TestWeightedCache:
         assert builds == [3.7]
         assert _series_state.cache_info()[:2] == (16, 1)  # hits, misses
 
+    def test_each_full_segment_once_per_x(self, monkeypatch):
+        # after E_series(x, 30), a call at any z <= 30 adds no running entry
+        # and no denominator row, and sums only its own partial segment
+        rho_module = sys.modules["cpoch.rho"]
+        _series_state.cache_clear()
+        E_series(2.0, 30.0)
+        state = _series_state(2.0)
+        entries, rows = len(state.running), len(rho_module._FULL_DENOMS)
+        assert entries == 1 + 27  # the window head, then t0 = 3 .. 29
+        add_segment, summed = rho_module._add_segment, []
+
+        def counting(total, floor, x, t0, *rest):
+            summed.append(t0)
+            return add_segment(total, floor, x, t0, *rest)
+
+        monkeypatch.setattr(rho_module, "_add_segment", counting)
+        for z in (0.5, 3.0, 3.5, 4.0, 12.25, 29.0, 29.75, 30.0):
+            E_series(2.0, z)
+        assert (len(state.running), len(rho_module._FULL_DENOMS)) == (entries, rows)
+        assert summed == [3, 12, 29]
+
     def test_series_state_bounded(self):
         _series_state.cache_clear()
         assert _series_state.cache_info().maxsize == _SERIES_STATE_CACHE_SIZE

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,14 @@ def _fields(result):
     return (result.value.hex(), result.terms_used, result.tail_estimate.hex(), result.converged)
 
 
+def _outcome(x, z, tol):
+    """E_series's fields at (x, z, tol), or the name of the error it raises."""
+    try:
+        return _fields(E_series(x, z, tol))
+    except OverflowError as exc:  # x^t0 leaves binary64 before the cutoff (x above ~28)
+        return type(exc).__name__
+
+
 class TestESeries:
     def test_empty_interval(self):
         result = E_series(1.7, 0.0)
@@ -118,6 +127,66 @@ class TestESeries:
             E_series(0.0, 1.0)
         with pytest.raises(ValueError):
             E_series(1.0, -1.0)
+
+    @pytest.mark.parametrize("engine", [E_series, E_quadrature, lambda x, z: nu(x)])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_refused(self, engine, x):
+        # refused before any per-x state is built or cached
+        _series_state.cache_clear()
+        with pytest.raises(ValueError, match=f"requires a finite x > 0, got {x}"):
+            engine(x, 5.0)
+        assert _series_state.cache_info().currsize == 0
+
+    def test_concurrent_sweeps_match_cold_calls(self):
+        # threads that fill one x's running sums and the shared denominator
+        # table at once append no entry or row twice
+        rho_module = sys.modules["cpoch.rho"]
+        x, zs = 0.7, (29.5, 4.0, 17.25, 30.0, 8.0, 23.5)
+        cold = []
+        for z in zs:
+            _series_state.cache_clear()
+            cold.append(_outcome(x, z, 1e-10))
+        results = []
+
+        def sweep(k):  # the zs rotated by k, so the threads grow the sums in turn
+            got = {z: _outcome(x, z, 1e-10) for z in zs[k:] + zs[:k]}
+            results.append([got[z] for z in zs])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                _series_state.cache_clear()
+                del rho_module._FULL_DENOMS[1:]  # rebuilt, bit for bit, by the sweeps
+                threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(zs))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [cold] * (5 * len(zs))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_running_sums_match_cold_calls(self, tol):
+        # every z reads the same fields from the per-x running sums as a
+        # call on a cold cache, however the sums were filled: step by step
+        # (ascending), all at once (descending from inf) or by one call at
+        # the cutoff; at x above ~28 the fills stop at an OverflowError
+        zs = E_SERIES_GRID_Z + (math.inf,)
+        for x in E_SERIES_GRID_X:
+            cold = []
+            for z in zs:
+                _series_state.cache_clear()
+                cold.append(_outcome(x, z, tol))
+            for fill in ("ascending", "descending", "cutoff"):
+                _series_state.cache_clear()
+                if fill == "cutoff":
+                    _outcome(x, nu_cutoff(x, tol), tol)
+                order = zs[::-1] if fill == "descending" else zs
+                got = {z: _outcome(x, z, tol) for z in order}
+                assert [got[z] for z in zs] == cold, (x, fill)
 
     def test_infinite_z(self):
         # E_series integrates one segment per unit of z up to nu's cutoff, so
@@ -258,6 +327,12 @@ class TestRho:
         # leave binary64, an OverflowError the CLI reports as exit 3
         with pytest.raises(OverflowError):
             rho(1e300, 1e300, 1e6)
+
+    @pytest.mark.parametrize("x, y, z", [(1e-300, 1e308, 50.0), (2.0, 1e308, 1e200)])
+    def test_reduced_argument_past_binary64(self, x, y, z):
+        assert reduced_argument(x, y, z) == math.inf
+        with pytest.raises(OverflowError, match=r"w = y \(z-1\)\^2 / 2x overflows"):
+            rho(x, y, z)
 
     # z - 1 past nu's cutoff (30 here), x > 1 and a small w: x^z scales E's
     # tail, so charging the rest more than its bound e^-cutoff would refuse

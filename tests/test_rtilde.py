@@ -310,6 +310,11 @@ class TestEvaluations:
             rtilde_ext(1.0, -0.5, 2.0)
         with pytest.raises(ValueError):
             rtilde_poly(1.0, 1.0, RTILDE_POLY_MAX_N + 1)
+        # a nan or infinite x or y, named, instead of a LogScaled with a nan log
+        for x, y, name in ((math.nan, 1.0, "x"), (math.inf, 1.0, "x"), (1.0, -math.inf, "y")):
+            for log_scaled in (False, True):
+                with pytest.raises(ValueError, match=f"finite {name}"):
+                    rtilde_poly(x, y, 5, log_scaled)
 
 
 class TestSeriesForms:
