@@ -1,8 +1,12 @@
 """Command-line front end: evaluation, table generation, verification.
 
 Exit status: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  Output is deterministic: identical invocations produce identical
-bytes.  Reals print with 17 significant digits; exact rationals print as
+failure.  A usage error includes an argument outside the target's domain,
+a nan or infinite one among them (only ``eval E --z inf`` is in its
+domain: it prints nu).  A numerical failure is a result the function
+cannot certify, or a nan or infinite result from finite arguments.
+Output is deterministic: identical invocations produce identical bytes.
+Reals print with 17 significant digits; exact rationals print as
 "numerator/denominator" text.
 """
 
@@ -15,7 +19,7 @@ from fractions import Fraction
 
 import click
 
-from .core import ConvergenceError, LogScaled, NonFiniteInputError, SeriesEval
+from .core import ConvergenceError, LogScaled, SeriesEval
 from .discrete import pochhammer_discrete, stirling_triangle
 from .gammafns import gamma, gamma_y, pochhammer_continuous, regularized_q
 from .rho import E_quadrature, mu_function, nu, rho
@@ -24,7 +28,7 @@ from .verify import SUITE_NAMES, run_suite
 
 
 def _require_integer(name: str, value: float) -> int:
-    if value != int(value) or value < 0:
+    if not (value >= 0 and value.is_integer()):  # inf and nan are not integers
         raise click.UsageError(f"--{name} must be a non-negative integer for this target")
     return int(value)
 
@@ -96,7 +100,7 @@ def eval_command(target, x, y, z, alpha, beta, tol, log_scaled, fmt):
         raise click.UsageError(f"{target} requires --{', --'.join(missing)}")
     try:
         result = call(tol, **provided)
-    except (ConvergenceError, OverflowError, NonFiniteInputError) as exc:
+    except (ConvergenceError, OverflowError) as exc:
         click.echo(f"numerical failure in {target}: {exc}", err=True)
         sys.exit(3)
     except ValueError as exc:

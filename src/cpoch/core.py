@@ -17,6 +17,13 @@ binary64 range at modest orders, so they return ``float | LogScaled`` by one
 rule, applied by ``exp_or_log_scaled``: a value whose natural log exceeds
 ``LOG_SCALED_FROM`` = ``LOG_FLOAT_MAX`` - 1 is a ``LogScaled``, any other a
 float.
+
+The input contract: every public function of the numerical modules
+(``gammafns``, ``recip_gamma``, ``quadrature``, ``rho``, ``rtilde``) takes
+finite real arguments.  Its one domain comparison per argument, such as
+``0.0 < x < math.inf``, refuses nan and +-inf with the domain's other
+violations: a ``ValueError`` naming the function and the argument.  The
+one documented exception is E's upper limit z = +inf, which is nu.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "log_add",
     "reduced_argument",
     "ConvergenceError",
-    "NonFiniteInputError",
     "EULER_GAMMA",
     "zeta",
     "zeta_hat",
@@ -51,12 +57,6 @@ MACHINE_EPS = sys.float_info.epsilon  # 2**-52
 
 class ConvergenceError(RuntimeError):
     """A numerical routine could not certify its requested tolerance."""
-
-
-class NonFiniteInputError(ValueError):
-    """A nan or infinite argument where a finite one is required.  A
-    ValueError to library callers; the CLI reports it as a numerical
-    failure, as it reports the non-finite result such an argument gives."""
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ TRIANGLE_KINDS = ("first_unsigned", "first_signed", "second")
 def pochhammer_discrete(x, y, n: int):
     """r(x, y, n) = prod_{l=0}^{n-1} (x + l*y); exact for exact inputs.
 
-    Works uniformly on int, Fraction and float operands; r(x, y, 0) = 1.
+    Works uniformly on finite int, Fraction and float operands; r(x, y, 0) = 1.
     Two Fractions x = a/b, y = c/d give prod_l (a d + l b c) / (b d)^n,
     normalized once instead of at every factor.
     """
@@ -46,6 +46,8 @@ def pochhammer_discrete(x, y, n: int):
         for l in range(n):
             numerator *= ad + l * bc
         return Fraction(numerator, (x.denominator * y.denominator) ** n)
+    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
+        raise ValueError(f"pochhammer_discrete requires finite x and y, got x={x}, y={y}")
     result = x**0  # multiplicative identity of the operand type
     for l in range(n):
         result = result * (x + l * y)

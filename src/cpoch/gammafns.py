@@ -46,6 +46,15 @@ GAMMA_TINY_Z = 1.0 / sys.float_info.max
 #: e^LOG_SCALED_FROM: a direct sum above it is a LogScaled by the core rule.
 _FLOAT_FROM = math.exp(LOG_SCALED_FROM)
 
+#: Largest integer order whose partial exponential e_{n-1} is summed term by
+#: term (``e_partial``, ``rtilde_closed``); past it ``log_e_partial`` answers
+#: in microseconds.  At n = 1000 the two routes agree to 8.9e-16 relative
+#: (2000 x log-uniform in [1e-3, 720]).
+DIRECT_SUM_MAX_N = 1000
+
+#: a = x/y past which ``pochhammer_continuous`` takes Stirling's series.
+_STIRLING_FROM_A = 1e4
+
 _MAX_SERIES_TERMS = 10_000
 _MAX_CF_TERMS = 10_000
 _TINY = 1e-300
@@ -54,8 +63,8 @@ _TINY = 1e-300
 def gamma(z: float) -> float | LogScaled:
     """Gamma(z) for z > 0; LogScaled where ln Gamma(z) exceeds
     ``LOG_SCALED_FROM`` (the rule of ``cpoch.core``), else a float."""
-    if z <= 0:
-        raise ValueError(f"gamma requires z > 0, got {z}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"gamma requires a finite z > 0, got {z}")
     log_value = math.lgamma(z)
     if log_value > LOG_SCALED_FROM:
         return LogScaled(1, log_value)
@@ -144,12 +153,12 @@ def regularized_q(z: float, x: float, tol: float = 1e-13) -> SeriesEval:
 
     Absolute error below ``tol`` whenever ``converged`` is reported.
     """
-    if z <= 0:
-        raise ValueError(f"regularized_q requires z > 0, got {z}")
-    if x < 0:
-        raise ValueError(f"regularized_q requires x >= 0, got {x}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"regularized_q requires a finite z > 0, got {z}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"regularized_q requires a finite x >= 0, got {x}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"regularized_q requires a finite tol > 0, got {tol}")
     if x == 0.0:
         return SeriesEval(1.0, 0, 0.0, True)
     if x <= z + 1.0:
@@ -170,10 +179,10 @@ def log_e_partial(z: float, x: float) -> float:
     This is ln e_{z-1}(x) for the real-order partial exponential; stable for
     arguments far beyond the overflow threshold of e^x.
     """
-    if z <= 0:
-        raise ValueError(f"log_e_partial requires z > 0, got {z}")
-    if x < 0:
-        raise ValueError(f"log_e_partial requires x >= 0, got {x}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"log_e_partial requires a finite z > 0, got {z}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"log_e_partial requires a finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     if x <= z + 1.0:
@@ -185,9 +194,15 @@ def log_e_partial(z: float, x: float) -> float:
 
 
 def e_partial_sum(n: int, x: float) -> float:
-    """Partial exponential sum e_{n-1}(x) = sum_{k<n} x^k / k! for integer n >= 1."""
+    """Partial exponential sum e_{n-1}(x) = sum_{k<n} x^k / k! for integer n >= 1.
+
+    One term per unit of n: ``e_partial`` and ``rtilde_closed`` call it only
+    up to ``DIRECT_SUM_MAX_N`` and take the log route past it.
+    """
     if n < 1:
         raise ValueError(f"e_partial_sum requires n >= 1, got {n}")
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"e_partial_sum requires a finite x, got {x}")
     term = 1.0
     total = 1.0
     for k in range(1, n):
@@ -199,18 +214,19 @@ def e_partial_sum(n: int, x: float) -> float:
 def e_partial(z: float, x: float) -> float | LogScaled:
     """Partial exponential of real order: e_{z-1}(x) = e^x Gamma(z, x) / Gamma(z).
 
-    Float or LogScaled by the rule of ``cpoch.core``.  Integer z uses the
-    direct sum wherever the rule keeps a float; other orders, and an integer
-    sum past ``LOG_SCALED_FROM``, go through ``log_e_partial``.  Both paths
-    agree to ~1e-12 relative where they overlap.
+    Float or LogScaled by the rule of ``cpoch.core``.  Integer z up to
+    ``DIRECT_SUM_MAX_N`` uses the direct sum wherever the rule keeps a
+    float; other orders, and an integer sum past ``LOG_SCALED_FROM``, go
+    through ``log_e_partial``.  Both paths agree to ~1e-12 relative where
+    they overlap.
     """
-    if z <= 0:
-        raise ValueError(f"e_partial requires z > 0, got {z}")
-    if x < 0:
-        raise ValueError(f"e_partial requires x >= 0, got {x}")
-    if z == int(z):
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"e_partial requires a finite z > 0, got {z}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"e_partial requires a finite x >= 0, got {x}")
+    if z <= DIRECT_SUM_MAX_N and z == int(z):
         total = e_partial_sum(int(z), x)
-        if not total > _FLOAT_FROM or math.isinf(x):  # e_{n-1}(inf) is inf
+        if total <= _FLOAT_FROM:
             return total
     return exp_or_log_scaled(log_e_partial(z, x))
 
@@ -228,10 +244,10 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
     printed bytes of ``eval gamma-y --x 3 --y 2``) and gamma_y(1, 5) =
     23.999999999999982 instead of 24.
     """
-    if y <= 0:
-        raise ValueError(f"gamma_y requires y > 0, got {y}")
-    if x <= 0:
-        raise ValueError(f"gamma_y requires x > 0, got {x}")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"gamma_y requires a finite y > 0, got {y}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"gamma_y requires a finite x > 0, got {x}")
     a = x / y
     exponent = a - 1.0
     log_value = exponent * math.log(y) + math.lgamma(a)
@@ -246,12 +262,28 @@ def pochhammer_continuous(x: float, y: float, z: float) -> float | LogScaled:
 
     Agrees with the product x (x+y) ... (x+(n-1)y) at integer z = n.
     Formed in logs; float or LogScaled by the rule of ``cpoch.core``.
+
+    For a = x/y up to ``_STIRLING_FROM_A`` the log is z ln y + lgamma(a+z) -
+    lgamma(a).  Past it that difference cancels (at a = 1e15 and z = 3 it
+    gives 2.7e43 for 1e45), so the log is Stirling's series for both
+    lgammas with the leading terms cancelled by hand, t = z/a:
+
+        z ln x + z (log1p(t)/t - 1) + (z - 1/2) log1p(t) + 1/12(a+z) - 1/12a.
+
+    The first term left out is below 1/360a^3 (2.8e-15 at a = 1e4).  z ln x
+    stays finite where a overflows; t = 0 there (and at z = 0), where the
+    second term is 0.
     """
-    if x <= 0:
-        raise ValueError(f"pochhammer_continuous requires x > 0, got {x}")
-    if y <= 0:
-        raise ValueError(f"pochhammer_continuous requires y > 0, got {y}")
-    if z < 0:
-        raise ValueError(f"pochhammer_continuous requires z >= 0, got {z}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"pochhammer_continuous requires a finite x > 0, got {x}")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"pochhammer_continuous requires a finite y > 0, got {y}")
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"pochhammer_continuous requires a finite z >= 0, got {z}")
     a = x / y
-    return exp_or_log_scaled(z * math.log(y) + math.lgamma(a + z) - math.lgamma(a))
+    if a <= _STIRLING_FROM_A:
+        return exp_or_log_scaled(z * math.log(y) + math.lgamma(a + z) - math.lgamma(a))
+    t = z / a
+    log1p_t = math.log1p(t)
+    return exp_or_log_scaled(z * math.log(x) + z * (log1p_t / t - 1.0 if t else 0.0)
+                             + (z - 0.5) * log1p_t + 1.0 / (12.0 * (a + z)) - 1.0 / (12.0 * a))

@@ -105,10 +105,11 @@ class QuadratureRequest:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not -math.inf < self.lower <= self.upper < math.inf:
+            raise ValueError(f"QuadratureRequest requires finite lower <= upper, "
+                             f"got [{self.lower}, {self.upper}]")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"QuadratureRequest requires a finite tolerance > 0: {self.tolerance}")
 
 
 def integrate_adaptive(request: QuadratureRequest) -> tuple[float, float]:
@@ -212,8 +213,8 @@ def integrate_simplex(k: int, x: float, moment: bool) -> float:
         raise ValueError("k must be non-negative")
     if k > SIMPLEX_MAX_DEPTH:
         raise ValueError(f"nested quadrature limited to k <= {SIMPLEX_MAX_DEPTH}")
-    if x < 0:
-        raise ValueError("x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"integrate_simplex requires a finite x >= 0, got {x}")
     if k == 0:
         return 1.0
     nodes, weights = _LEGENDRE_RULES[_SIMPLEX_RULE_NODES]

@@ -134,6 +134,8 @@ def recip_gamma_series(t: float) -> SeriesEval:
     ``converged`` is withheld outside the validated window |t| <= 3 and when
     the tail or round-off floor exceeds 1e-12 relative to max(1, |value|).
     """
+    if not -math.inf < t < math.inf:
+        raise ValueError(f"recip_gamma_series requires a finite t, got {t}")
     coeffs = _TABLE
     value = _horner(coeffs, t)
     at = abs(t)
@@ -149,8 +151,8 @@ def weighted_series_coeffs(x: float) -> tuple[float, ...]:
     c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!, so c_n(1) = c_n.  Built on
     every call; ``rho`` keeps them in its per-x state.
     """
-    if x <= 0:
-        raise ValueError(f"weighted_series_coeffs requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"weighted_series_coeffs requires a finite x > 0, got {x}")
     lx = math.log(x)
     # c_n(x) = sum_k c_{n-k} lx^k / k!, all orders from one list of lx^k / k!;
     # map stops at the shorter operand, c_n .. c_0, so no slice of log_powers.

@@ -178,25 +178,25 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     overflows first: OverflowError).  ``terms_used`` adds the terms of every
     node series the representation evaluates to the head terms, cached or
     not.  Agrees with E_quadrature to ~1e-13 relative over the tested
-    domain (x <= 50, z <= 30).  A nan or infinite x is refused.
+    domain (x <= 50, z <= 30).
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"E_series requires a finite x > 0, got {x}")
-    if z < 0:
+    if not z >= 0.0:  # +inf is E(x, inf) = nu(x)
         raise ValueError(f"E_series requires z >= 0, got {z}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"E_series requires a finite tol > 0, got {tol}")
     if z == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
     z, _, rest = _cut_at_nu(x, z, tol)
     state = _series_state(x)
     coeffs = state.coeffs
     terms = len(coeffs)
-    if not z > SERIES_WINDOW:  # not <=, so a nan z sums the head at nan
+    if z <= SERIES_WINDOW:
         total, trunc, floor = _head(coeffs, z)
     else:
-        # full segments [t0, t0+1] for t0 = 3 .. int(z) - 1; z is finite
-        # here, and z - t0 is exact for every integer t0 <= z
+        # full segments [t0, t0+1] for t0 = 3 .. int(z) - 1; z is at most
+        # the cutoff here, and z - t0 is exact for every integer t0 <= z
         full = int(z) - 3
         total, trunc, floor = state.after_full_segments(full)
         if full:
@@ -222,12 +222,14 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
     a test-time reference for it).  A z past ``nu_cutoff(x, tol)``, +inf
     included, integrates to the cutoff at tol/2 and so returns nu(x, tol);
     QAGS's nodes on [0, z] would otherwise all miss the integrand's mass
-    and certify 0.  A nan or infinite x is refused.
+    and certify 0.
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"E_quadrature requires a finite x > 0, got {x}")
-    if z < 0:
+    if not z >= 0.0:  # +inf is E(x, inf) = nu(x)
         raise ValueError(f"E_quadrature requires z >= 0, got {z}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"E_quadrature requires a finite tol > 0, got {tol}")
     if z == 0.0:
         return 0.0
     z, tol, _ = _cut_at_nu(x, z, tol)
@@ -247,8 +249,10 @@ def nu_cutoff(x: float, tol: float) -> float:
     which is below e^-t once t >= e^2 x; the remaining exponential tail
     integrates to e^-Z.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"nu_cutoff requires a finite x > 0, got {x}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"nu_cutoff requires a finite tol > 0, got {tol}")
     return max(30.0, math.e**2 * x, -math.log(tol / 2.0) + 1.0)
 
 
@@ -264,8 +268,6 @@ def _cut_at_nu(x: float, z: float, tol: float) -> tuple[float, float, float]:
 
 def nu(x: float, tol: float = 1e-10) -> float:
     """nu(x) = E(x, inf) = integral_0^inf x^t / Gamma(t+1) dt, to within tol."""
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"nu requires a finite x > 0, got {x}")
     try:
         return E_quadrature(x, math.inf, tol)
     except QuadratureError as exc:
@@ -310,12 +312,12 @@ def mu_function(x: float, beta: float = 0.0, alpha: float = 0.0, tol: float = 1e
     x^alpha (e x / t)^t t^beta / Gamma(beta+1) certifies a tail below
     tol/2; mu(x, 0, 0) = nu(x).
     """
-    if x <= 0:
-        raise ValueError(f"mu_function requires x > 0, got {x}")
-    if beta < 0 or alpha < 0:
-        raise ValueError("beta and alpha must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"mu_function requires a finite x > 0, got {x}")
+    if not (0.0 <= beta < math.inf and 0.0 <= alpha < math.inf):
+        raise ValueError(f"mu_function requires finite beta, alpha >= 0, got {beta=}, {alpha=}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"mu_function requires a finite tol > 0, got {tol}")
     integrand, cutoff = _mu_integrand(x, beta, alpha, tol)
     try:
         value, _ = integrate_adaptive(
@@ -337,22 +339,20 @@ def rho(x: float, y: float, z: float, tol: float = 1e-10) -> float | LogScaled:
     OverflowError where w = y (z-1)^2 / 2x or E's segments leave binary64.
     The float product x^z E, or LogScaled by the rule of ``cpoch.core``.
     """
-    if x <= 0:
-        raise ValueError(f"rho requires x > 0, got {x}")
-    if y <= 0:
-        raise ValueError(f"rho requires y > 0, got {y}")
-    if z < 1:
-        raise ValueError(f"rho requires z >= 1, got {z}")
-    if z == math.inf:
-        raise ValueError(f"rho requires a finite z, got {z}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"rho requires a finite x > 0, got {x}")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"rho requires a finite y > 0, got {y}")
+    if not 1.0 <= z < math.inf:
+        raise ValueError(f"rho requires a finite z >= 1, got {z}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"rho requires a finite tol > 0, got {tol}")
     if z == 1.0:
         return 0.0
     w = reduced_argument(x, y, z)
     if w == math.inf:
         raise OverflowError(
             f"rho's reduced argument w = y (z-1)^2 / 2x overflows at (x={x}, y={y}, z={z})")
-    if math.isnan(w):  # E_series refuses a nan argument; E is uncertified there
-        raise ConvergenceError(f"E is uncertified at a nan argument (x={x}, y={y}, z={z})")
     result = E_series(w, z - 1.0, tol)
     if not result.converged:
         raise ConvergenceError(
@@ -382,10 +382,10 @@ def E_deriv_z(x: float, z: float, k: int = 1) -> float:
     x^z / Gamma(z+1).  Restricted to the series window z <= 3 and k in
     {1, 2, 3}.
     """
-    if x <= 0:
-        raise ValueError(f"E_deriv_z requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"E_deriv_z requires a finite x > 0, got {x}")
     if not 0.0 <= z <= SERIES_WINDOW:
-        raise ValueError(f"z must lie in [0, {SERIES_WINDOW}], got {z}")
+        raise ValueError(f"E_deriv_z requires z in [0, {SERIES_WINDOW}], got {z}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
     coeffs = _series_state(x).coeffs

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (MACHINE_EPS, LogScaled, NonFiniteInputError, SeriesEval, exp_or_log_scaled,
-                   log_add, reduced_argument)
+from .core import (MACHINE_EPS, LogScaled, SeriesEval, exp_or_log_scaled, log_add,
+                   reduced_argument)
 from .discrete import _compositions
-from .gammafns import e_partial_sum, log_e_partial
+from .gammafns import DIRECT_SUM_MAX_N, e_partial_sum, log_e_partial
 from .quadrature import gauss_hermite
 
 __all__ = [
@@ -237,15 +237,12 @@ def rtilde_poly(x: float, y: float, n: int, log_scaled: bool = False) -> float |
     sum forms each term's sign and log as ``LogScaled`` multiplication
     would, adds the terms in k order with ``log_add`` and builds one
     ``LogScaled`` at the end, so it equals the left fold of ``LogScaled``
-    additions bit for bit.  A nan or infinite x or y is refused
-    (``NonFiniteInputError``).
+    additions bit for bit.
     """
     if not 0 <= n <= RTILDE_POLY_MAX_N:
         raise ValueError(f"n must lie in [0, {RTILDE_POLY_MAX_N}], got {n}")
-    if not math.isfinite(x):
-        raise NonFiniteInputError(f"rtilde_poly requires a finite x, got {x}")
-    if not math.isfinite(y):
-        raise NonFiniteInputError(f"rtilde_poly requires a finite y, got {y}")
+    if not (-math.inf < x < math.inf and -math.inf < y < math.inf):
+        raise ValueError(f"rtilde_poly requires a finite x and y, got {x=}, {y=}")
     row = _poly_row(n)
     if not log_scaled:
         total = 0.0
@@ -292,23 +289,25 @@ def _log_closed_form(x: float, y: float, z: float) -> float:
 def rtilde_closed(x: float, y: float, n: int) -> float | LogScaled:
     """Closed form x^n e_{n-1}(y (n-1)^2 / 2x) of the coefficient polynomial.
 
-    The float product where it is finite.  Past the binary64 range (of
-    x^n, of w, of e_{n-1} or of their product) it is formed in logs as
+    The float product with the direct sum where it is finite, up to order
+    ``DIRECT_SUM_MAX_N``.  Past that order, and past the binary64 range (of
+    x^n, of w, of e_{n-1} or of their product), it is formed in logs as
     ``rtilde_ext`` forms it, float or LogScaled by the rule of
-    ``cpoch.core``; that needs x > 0 and y >= 0, and other signs raise
-    OverflowError there.
+    ``cpoch.core``; that needs x > 0 and y >= 0.  Other signs keep the
+    direct sum at every order and raise OverflowError past binary64.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if x == 0:
-        raise ValueError("x = 0 requires the polynomial form")
+    if not (0.0 < abs(x) < math.inf and -math.inf < y < math.inf):
+        raise ValueError(f"rtilde_closed requires finite y and x != 0 (else rtilde_poly): {x=}, {y=}")
     w = reduced_argument(x, y, n)
-    try:
-        value = x**n * e_partial_sum(n, w)
-    except OverflowError:  # x**n
-        value = math.inf
-    if math.isfinite(value):
-        return value
+    if abs(w) < math.inf and (n <= DIRECT_SUM_MAX_N or x < 0 or w < 0):
+        try:
+            value = x**n * e_partial_sum(n, w)
+        except OverflowError:  # x**n
+            value = math.inf
+        if math.isfinite(value):
+            return value
     if x < 0 or w < 0:
         raise OverflowError(f"rtilde_closed({x}, {y}, {n}) leaves binary64; "
                             "its log-scaled form needs x > 0 and y >= 0")
@@ -323,12 +322,12 @@ def rtilde_ext(x: float, y: float, z: float) -> float | LogScaled:
     logs, also where w itself leaves binary64; float or LogScaled by the
     rule of ``cpoch.core``.
     """
-    if x <= 0:
-        raise ValueError(f"rtilde_ext requires x > 0, got {x}")
-    if y < 0:
-        raise ValueError(f"rtilde_ext requires y >= 0, got {y}")
-    if z <= 0:
-        raise ValueError(f"rtilde_ext requires z > 0, got {z}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"rtilde_ext requires a finite x > 0, got {x}")
+    if not 0.0 <= y < math.inf:
+        raise ValueError(f"rtilde_ext requires a finite y >= 0, got {y}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"rtilde_ext requires a finite z > 0, got {z}")
     return exp_or_log_scaled(_log_closed_form(x, y, z))
 
 
@@ -339,8 +338,8 @@ def rtilde_series_lower(x: float, y: float, z: float) -> SeriesEval:
     rtilde_ext.  The alternating sum cancels heavily for large w, so the
     converged flag accounts for the round-off floor as well as truncation.
     """
-    if x <= 0 or y < 0 or z <= 0:
-        raise ValueError("requires x > 0, y >= 0, z > 0")
+    if not (0.0 < x < math.inf and 0.0 <= y < math.inf and 0.0 < z < math.inf):
+        raise ValueError(f"rtilde_series_lower requires finite x, z > 0, y >= 0: {x=}, {y=}, {z=}")
     w = reduced_argument(x, y, z)
     xz = x**z
     if w == 0.0:
@@ -372,8 +371,8 @@ def rtilde_series_upper(x: float, y: float, z: float) -> SeriesEval:
     x^z e^w - x^z w^z sum_k w^k / Gamma(z+k+1); positive terms, but the
     leading difference cancels as e^w outgrows the result for large w.
     """
-    if x <= 0 or y < 0 or z <= 0:
-        raise ValueError("requires x > 0, y >= 0, z > 0")
+    if not (0.0 < x < math.inf and 0.0 <= y < math.inf and 0.0 < z < math.inf):
+        raise ValueError(f"rtilde_series_upper requires finite x, z > 0, y >= 0: {x=}, {y=}, {z=}")
     w = reduced_argument(x, y, z)
     xz = x**z
     if w == 0.0:
@@ -400,6 +399,8 @@ def cosh_truncated(n: int, u: float) -> float:
     """Truncated even exponential sum_{k<=n} u^(2k) / (2k)!."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if not -math.inf < u < math.inf:
+        raise ValueError(f"cosh_truncated requires a finite u, got {u}")
     term = 1.0
     total = 1.0
     u2 = u * u
@@ -415,8 +416,8 @@ def gaussian_expectation(y: float, n: int) -> float:
     Equals the closed form e_{n-1}(y (n-1)^2 / 2); the integrand is a
     polynomial of degree 2(n-1), so the rule of max(n, 20) nodes is exact.
     """
-    if y <= 0:
-        raise ValueError(f"y must be > 0, got {y}")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"gaussian_expectation requires a finite y > 0, got {y}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     scale = (n - 1) * math.sqrt(y)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 
 import cpoch.cli
 from cpoch.cli import main
+from cpoch.core import LogScaled
 from cpoch.verify import CaseResult, VerificationReport
 
 
@@ -152,19 +154,52 @@ class TestEval:
         assert result.exit_code == 3
         assert "numerical failure" in result.stderr
 
+    @pytest.mark.parametrize("args, refused", [
+        (["rtilde", "--x", "nan", "--y", "1", "--z", "5"], "finite x and y, got x=nan, y=1.0"),
+        (["rtilde", "--x", "inf", "--y", "1", "--z", "5"], "finite x and y, got x=inf, y=1.0"),
+        (["rtilde", "--x", "1", "--y", "nan", "--z", "5", "--log-scaled"],
+         "rtilde_poly requires a finite x and y, got x=1.0, y=nan"),
+        (["rtilde", "--x", "1", "--y", "1", "--z", "inf"], "--z must be a non-negative integer"),
+        (["gamma", "--z", "inf"], "gamma requires a finite z > 0"),
+        (["r-cont", "--x", "nan", "--y", "1", "--z", "5"],
+         "pochhammer_continuous requires a finite x > 0"),
+        (["r", "--x", "inf", "--y", "1", "--z", "5"], "pochhammer_discrete requires finite x"),
+        (["rho", "--x", "1", "--y", "1", "--z", "5", "--tol", "nan"],
+         "rho requires a finite tol > 0"),
+    ])
+    def test_non_finite_argument_is_usage_error(self, runner, args, refused):
+        # refused by the function's own domain check, before any work
+        result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert refused in result.stderr
+
     @pytest.mark.parametrize("args", [
-        ["rtilde", "--x", "nan", "--y", "1", "--z", "5"],
-        ["rtilde", "--x", "inf", "--y", "1", "--z", "5"],
-        ["rtilde", "--x", "1", "--y", "nan", "--z", "5", "--log-scaled"],
-        ["gamma", "--z", "inf"],
-        ["r-cont", "--x", "nan", "--y", "1", "--z", "5"],
+        ["rtilde-ext", "--x", "1e300", "--y", "0", "--z", "1e308"],
+        ["rtilde-ext", "--x", "1e300", "--y", "0", "--z", "1e308", "--log-scaled"],
+        ["rtilde-ext", "--x", "1e300", "--y", "0", "--z", "1e308", "--format", "json"],
+        ["r-cont", "--x", "1e300", "--y", "1", "--z", "1e308"],
+        ["r-cont", "--x", "1e300", "--y", "1", "--z", "1e308", "--format", "json"],
     ])
     def test_non_finite_log_scaled_is_numerical_failure(self, runner, args):
-        # a LogScaled result whose log magnitude is nan or +inf, like a float nan
+        # finite arguments whose LogScaled result has log magnitude +inf (z ln x
+        # overflows), refused like a float inf in every output form
         result = runner.invoke(main, ["eval", *args])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert "numerical failure" in result.stderr
+        assert "log_magnitude=inf" in result.stderr
+
+    def test_nan_log_scaled_is_numerical_failure(self, runner, monkeypatch):
+        # no finite argument gives a nan log magnitude, so a patched target does
+        required, optional, _ = cpoch.cli.EVAL_TARGETS["gamma"]
+        monkeypatch.setitem(cpoch.cli.EVAL_TARGETS, "gamma",
+                            (required, optional, lambda tol, z: LogScaled(1, math.nan)))
+        result = runner.invoke(main, ["eval", "gamma", "--z", "3"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "numerical failure in gamma: result is LogScaled(sign=1, log_magnitude=nan)" \
+            in result.stderr
 
     @pytest.mark.parametrize("args, output", [
         (["rtilde", "--x", "0", "--y", "1", "--z", "5", "--log-scaled"], "0 -inf\n"),

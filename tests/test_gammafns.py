@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmath
+
+from cpoch import gammafns
 from cpoch.core import LOG_SCALED_FROM, LogScaled
+from cpoch.discrete import pochhammer_discrete
 from cpoch.gammafns import (
+    DIRECT_SUM_MAX_N,
     e_partial,
     e_partial_sum,
     gamma,
     gamma_minimum,
     gamma_y,
+    log_e_partial,
     pochhammer_continuous,
     regularized_q,
 )
@@ -164,6 +170,18 @@ class TestPartialExponential:
         assert isinstance(got, LogScaled) and got.sign == 1
         assert got.log_magnitude == pytest.approx(log_value, rel=1e-14)
 
+    def test_direct_sum_stops_at_its_order_cap(self, monkeypatch):
+        # the direct sum costs one term per unit of order, ~0.9 s for e_partial(1e7, 1)
+        orders = []
+        direct = gammafns.e_partial_sum
+        monkeypatch.setattr(gammafns, "e_partial_sum",
+                            lambda n, x: orders.append(n) or direct(n, x))
+        at_cap = e_partial(float(DIRECT_SUM_MAX_N), 7.9)
+        assert at_cap == pytest.approx(math.exp(log_e_partial(DIRECT_SUM_MAX_N, 7.9)), rel=1e-15)
+        assert e_partial(1e7, 1.0) == pytest.approx(math.e, rel=1e-15)
+        assert e_partial(float(DIRECT_SUM_MAX_N + 1), 1.0) == pytest.approx(math.e, rel=1e-15)
+        assert orders == [DIRECT_SUM_MAX_N]
+
 
 class TestGammaY:
     def test_reduces_to_gamma(self):
@@ -232,3 +250,32 @@ class TestPochhammerContinuous:
 
     def test_asymptotic_trend(self, verify_cases):
         verify_cases.check("kernel/pochhammer_asymptote_trend")
+
+    # past a = x/y = 1e4, lgamma(a+z) - lgamma(a) cancels: at (1e15, 1, 3) it
+    # gives 2.688e43, at (1e300, 1, 5) the value 1.0
+    @pytest.mark.parametrize("x, y, n", [
+        (1e15, 1.0, 3), (1e7, 3.0, 25), (10000.5, 1.0, 7), (3e4, 0.5, 20), (2e-3, 1e-8, 30),
+    ])
+    def test_large_ratio_matches_discrete_product(self, x, y, n):
+        product = pochhammer_discrete(x, y, n)
+        assert pochhammer_continuous(x, y, float(n)) == pytest.approx(product, rel=1e-13)
+
+    @pytest.mark.parametrize("x, y, z", [
+        (1e4 + 1.0, 1.0, 0.5), (1e6, 1.0, 1e7), (2.5e9, 0.25, 7.25), (1e300, 1.0, 5.0),
+        (1e300, 1e-5, 1e3), (1e-10, 1e-20, 3.3),
+    ])
+    def test_large_ratio_log_matches_mpmath(self, x, y, z):
+        with mpmath.workdps(int(math.log10(x / y)) + 40):
+            a = mpmath.mpf(x) / mpmath.mpf(y)
+            log_value = z * mpmath.log(y) + mpmath.loggamma(a + z) - mpmath.loggamma(a)
+            expected = float(log_value)
+        got = pochhammer_continuous(x, y, z)
+        log_got = got.log_magnitude if isinstance(got, LogScaled) else math.log(got)
+        assert log_got == pytest.approx(expected, rel=1e-14, abs=1e-13)
+
+    def test_overflowing_ratio(self):
+        # a = x/y is inf; z ln x carries the value and z = 0 is still 1
+        got = pochhammer_continuous(1e308, 1e-308, 5.0)
+        assert isinstance(got, LogScaled) and got.sign == 1
+        assert got.log_magnitude == 5.0 * math.log(1e308)
+        assert pochhammer_continuous(1e308, 1e-308, 0.0) == 1.0

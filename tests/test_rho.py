@@ -204,7 +204,7 @@ class TestESeries:
         src = str(Path(cpoch.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, timeout=60, check=True)
-        assert out.stdout.splitlines() == ["True True", "rho requires a finite z, got inf"]
+        assert out.stdout.splitlines() == ["True True", "rho requires a finite z >= 1, got inf"]
 
     @pytest.mark.parametrize("x, z", [(0.5, 1e5), (2.0, 1e9)])
     def test_past_the_cutoff_is_nu(self, x, z):
@@ -219,11 +219,14 @@ class TestESeries:
         assert result.value == at_cutoff.value
         assert result.tail_estimate == at_cutoff.tail_estimate + math.exp(-cutoff)
 
-    def test_nan_z_is_unconverged(self):
-        result = E_series(0.5, math.nan)
-        assert math.isnan(result.value) and not result.converged
-        with pytest.raises(ConvergenceError):
+    def test_nan_z_is_refused(self):
+        # refused by the domain check, before any per-x state is built
+        _series_state.cache_clear()
+        with pytest.raises(ValueError, match="E_series requires z >= 0, got nan"):
+            E_series(0.5, math.nan)
+        with pytest.raises(ValueError, match="rho requires a finite z >= 1, got nan"):
             rho(1.0, 1.0, math.nan)
+        assert _series_state.cache_info().currsize == 0
 
 
 class TestEQuadrature:

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpoch.core import LogScaled
-from cpoch.gammafns import e_partial_sum
+from cpoch.gammafns import DIRECT_SUM_MAX_N, e_partial_sum
 from cpoch.rtilde import (
     RTILDE_POLY_MAX_N,
     _POLY_ROW_CACHE_SIZE,
@@ -291,6 +292,24 @@ class TestEvaluations:
         assert isinstance(got, LogScaled) and got.sign == 1
         assert got.log_magnitude == pytest.approx(log_value, rel=1e-15)
 
+    def test_closed_sums_directly_only_up_to_the_order_cap(self, monkeypatch):
+        # the direct sum costs one term per unit of order, ~0.8 s for
+        # rtilde_closed(0.5, 1, 10**7); past the cap x > 0, y >= 0 take
+        # rtilde_ext's log route, and a negative x (no log form) keeps the sum
+        orders = []
+        rtilde_module = sys.modules["cpoch.rtilde"]
+        monkeypatch.setattr(rtilde_module, "e_partial_sum",
+                            lambda n, x: orders.append(n) or e_partial_sum(n, x))
+        at_cap = rtilde_closed(1.7, 1.6e-5, DIRECT_SUM_MAX_N)
+        assert at_cap == pytest.approx(rtilde_ext(1.7, 1.6e-5, float(DIRECT_SUM_MAX_N)), rel=1e-12)
+        assert rtilde_closed(0.5, 1.0, 10**7) == rtilde_ext(0.5, 1.0, 1e7)
+        assert rtilde_closed(1.7, 1.6e-5, DIRECT_SUM_MAX_N + 1) == rtilde_ext(
+            1.7, 1.6e-5, float(DIRECT_SUM_MAX_N + 1))
+        assert orders == [DIRECT_SUM_MAX_N]
+        assert rtilde_closed(-1.0, 1e-9, DIRECT_SUM_MAX_N + 1) == pytest.approx(
+            -math.exp(-1e-9 * DIRECT_SUM_MAX_N**2 / 2.0), rel=1e-12)
+        assert orders == [DIRECT_SUM_MAX_N, DIRECT_SUM_MAX_N + 1]
+
     def test_closed_overflow_without_log_form(self):
         # a negative x has no log-scaled form; leaving binary64 is an error
         with pytest.raises(OverflowError):
@@ -311,9 +330,9 @@ class TestEvaluations:
         with pytest.raises(ValueError):
             rtilde_poly(1.0, 1.0, RTILDE_POLY_MAX_N + 1)
         # a nan or infinite x or y, named, instead of a LogScaled with a nan log
-        for x, y, name in ((math.nan, 1.0, "x"), (math.inf, 1.0, "x"), (1.0, -math.inf, "y")):
+        for x, y in ((math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf)):
             for log_scaled in (False, True):
-                with pytest.raises(ValueError, match=f"finite {name}"):
+                with pytest.raises(ValueError, match=f"finite x and y, got x={x}, y={y}"):
                     rtilde_poly(x, y, 5, log_scaled)
 
 
