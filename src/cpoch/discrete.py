@@ -5,11 +5,18 @@ sum_k r_{n,k} x^k y^(n-k) with r_{n,k} the unsigned Stirling numbers of the
 first kind; the signed numbers s_{n,k} = (-1)^(n-k) r_{n,k} and the second
 kind S_{n,k} invert each other.  A brute-force lattice-point oracle and the
 ordered-simplex closed forms keep every identity independently checkable.
+
+The Stirling rows of each kind, ``first_signed`` included, are built once
+per process: ``_STIRLING_ROWS`` holds rows 0, 1, ... of each kind as far as
+any ``stirling_triangle`` has reached, so at most STIRLING_MAX_N + 1 = 65
+rows per kind.  Growth happens under the lock ``_GROWING``, and a call
+receives the held rows as a tuple, never a list that is extended later.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +36,11 @@ STIRLING_MAX_N = 64
 LATTICE_ORACLE_MAX_N = 9
 
 TRIANGLE_KINDS = ("first_unsigned", "first_signed", "second")
+
+#: Rows 0, 1, ... of each kind as far as any call has reached.
+_STIRLING_ROWS: dict[str, list[tuple[int, ...]]] = {kind: [(1,)] for kind in TRIANGLE_KINDS}
+#: Held while a call appends rows, so that concurrent callers never append a row twice.
+_GROWING = threading.Lock()
 
 
 def pochhammer_discrete(x, y, n: int):
@@ -74,19 +86,21 @@ class StirlingTriangle:
         return self.rows[n]
 
 
-def stirling_triangle(kind: str, max_n: int) -> StirlingTriangle:
-    """Build a Stirling triangle up to row max_n by the standard recurrences.
+def _held_rows(kind: str, max_n: int) -> list[tuple[int, ...]]:
+    """The held rows of kind, extended through max_n; the caller holds ``_GROWING``.
 
     first_unsigned:  r_{n+1,k} = r_{n,k-1} + n r_{n,k}
     second:          S_{n+1,k} = S_{n,k-1} + k S_{n,k}
+    first_signed:    s_{n,k} = (-1)^(n-k) r_{n,k}
     """
-    if kind not in TRIANGLE_KINDS:
-        raise ValueError(f"unknown triangle kind {kind!r}")
-    if not 0 <= max_n <= STIRLING_MAX_N:
-        raise ValueError(f"max_n must lie in [0, {STIRLING_MAX_N}], got {max_n}")
-    rows = [(1,)]
-    for n in range(max_n):
-        prev = rows[-1]
+    rows = _STIRLING_ROWS[kind]
+    if kind == "first_signed":
+        unsigned = _held_rows("first_unsigned", max_n)
+        for n in range(len(rows), max_n + 1):
+            rows.append(tuple(-v if (n - k) & 1 else v for k, v in enumerate(unsigned[n])))
+        return rows
+    for n in range(len(rows) - 1, max_n):
+        prev = rows[n]
         row = [0] * (n + 2)
         for k in range(n + 2):
             from_lower = prev[k - 1] if k >= 1 else 0
@@ -96,12 +110,24 @@ def stirling_triangle(kind: str, max_n: int) -> StirlingTriangle:
             else:
                 row[k] = from_lower + n * inside
         rows.append(tuple(row))
-    if kind == "first_signed":
-        rows = [
-            tuple(-v if (n - k) & 1 else v for k, v in enumerate(row))
-            for n, row in enumerate(rows)
-        ]
-    return StirlingTriangle(kind, max_n, tuple(rows))
+    return rows
+
+
+def stirling_triangle(kind: str, max_n: int) -> StirlingTriangle:
+    """The Stirling triangle of kind up to row max_n, by the standard recurrences.
+
+    Rows are built once, when a call first reaches them (``_held_rows``),
+    and each call returns the held rows 0..max_n.
+    """
+    if kind not in TRIANGLE_KINDS:
+        raise ValueError(f"unknown triangle kind {kind!r}")
+    if not 0 <= max_n <= STIRLING_MAX_N:
+        raise ValueError(f"max_n must lie in [0, {STIRLING_MAX_N}], got {max_n}")
+    rows = _STIRLING_ROWS[kind]
+    if len(rows) <= max_n:
+        with _GROWING:
+            _held_rows(kind, max_n)
+    return StirlingTriangle(kind, max_n, tuple(rows[:max_n + 1]))
 
 
 def stirling_lattice_oracle(n: int, k: int) -> int:

@@ -196,8 +196,11 @@ def log_e_partial(z: float, x: float) -> float:
 def e_partial_sum(n: int, x: float) -> float:
     """Partial exponential sum e_{n-1}(x) = sum_{k<n} x^k / k! for integer n >= 1.
 
-    One term per unit of n: ``e_partial`` and ``rtilde_closed`` call it only
-    up to ``DIRECT_SUM_MAX_N`` and take the log route past it.
+    One term per unit of n until a term underflows to 0, after which every
+    later term is 0 and leaves the total's bits as they are: ``e_partial``
+    and ``rtilde_closed`` call it only up to ``DIRECT_SUM_MAX_N`` and take
+    the log route past it, except a negative-sign ``rtilde_closed``, which
+    has no log route and relies on that stop.
     """
     if n < 1:
         raise ValueError(f"e_partial_sum requires n >= 1, got {n}")
@@ -207,6 +210,8 @@ def e_partial_sum(n: int, x: float) -> float:
     total = 1.0
     for k in range(1, n):
         term *= x / k
+        if term == 0.0:
+            break
         total += term
     return total
 

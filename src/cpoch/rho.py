@@ -334,9 +334,10 @@ def rho(x: float, y: float, z: float, tol: float = 1e-10) -> float | LogScaled:
     Defined for z > 1; the boundary value rho(x, y, 1) = 0 is accepted by
     continuity.  E is evaluated by ``E_series``, the coefficient machinery,
     which is smooth in the parameters; ``E_quadrature`` is its independent
-    oracle.  Raises ConvergenceError unless E's series certifies ``tol`` and
-    x^z times its tail estimate stays within tol * max(1, |rho|), and
-    OverflowError where w = y (z-1)^2 / 2x or E's segments leave binary64.
+    oracle.  Raises ConvergenceError where w = y (z-1)^2 / 2x underflows to
+    0, and unless E's series certifies ``tol`` and x^z times its tail
+    estimate stays within tol * max(1, |rho|); OverflowError where w or E's
+    segments leave binary64.
     The float product x^z E, or LogScaled by the rule of ``cpoch.core``.
     """
     if not 0.0 < x < math.inf:
@@ -353,6 +354,9 @@ def rho(x: float, y: float, z: float, tol: float = 1e-10) -> float | LogScaled:
     if w == math.inf:
         raise OverflowError(
             f"rho's reduced argument w = y (z-1)^2 / 2x overflows at (x={x}, y={y}, z={z})")
+    if w == 0.0:
+        raise ConvergenceError(
+            f"rho's reduced argument w = y (z-1)^2 / 2x underflows to 0 at (x={x}, y={y}, z={z})")
     result = E_series(w, z - 1.0, tol)
     if not result.converged:
         raise ConvergenceError(

@@ -2,14 +2,49 @@
 
 Every property check is defined once, in ``cpoch.verify``; a test that
 asserts such a property names the case as ``suite/case_id`` instead of
-restating its inputs, formula and threshold.
+restating its inputs, formula and threshold.  ``empty_exact_tables`` lets a
+test build the process-wide exact tables from nothing, and ``bounded``
+fails a call that would hang the session.
 """
 
+import signal
 import time
 
 import pytest
 
+import cpoch.discrete
+import cpoch.rtilde
 from cpoch.verify import CaseResult, VerificationReport, run_suite
+
+
+SECONDS = 5  # a refusal comes before any loop; a hang fails instead of stalling the run
+
+
+@pytest.fixture
+def bounded():
+    """Fail a call that runs past SECONDS instead of hanging the session."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def empty_exact_tables() -> None:
+    """Forget every held groupoid column, rtilde triangle row and Stirling row."""
+    cpoch.rtilde._GROUPOID_COLUMNS.clear()
+    del cpoch.rtilde._TRIANGLE_ROWS[:]
+    for rows in cpoch.discrete._STIRLING_ROWS.values():
+        del rows[1:]
 
 
 class SuiteCases:

@@ -133,6 +133,7 @@ class TestEval:
         ["rho", "--x", "1", "--y", "1", "--z", "100"],
         ["rho", "--x", "1e300", "--y", "1e300", "--z", "1e6"],
         ["rho", "--x", "1e-300", "--y", "1e308", "--z", "50"],  # w itself overflows
+        ["rho", "--x", "1e300", "--y", "1e-300", "--z", "2"],  # w underflows to 0
     ])
     def test_overflow_is_numerical_failure(self, runner, args):
         result = runner.invoke(main, ["eval", *args])

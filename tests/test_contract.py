@@ -13,7 +13,6 @@ import importlib
 import inspect
 import math
 import re
-import signal
 
 import pytest
 from click.testing import CliRunner
@@ -60,8 +59,6 @@ REFUSED_AS = {"nu": "E_quadrature"}
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
-SECONDS = 5  # a refusal comes before any loop; a hang fails instead of stalling the run
-
 
 def _float_entries():
     """(name, function, float parameter names) of every public float entry."""
@@ -79,25 +76,6 @@ def _float_entries():
 ENTRIES = sorted(_float_entries(), key=lambda entry: entry[0])
 FUNCTIONS = {name: function for name, function, _ in ENTRIES}
 CASES = [(name, arg) for name, _, floats in ENTRIES for arg in floats]
-
-
-@pytest.fixture
-def bounded():
-    """Fail a call that runs past SECONDS instead of hanging the session."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {SECONDS} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, SECONDS)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_every_entry_has_valid_arguments():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import empty_exact_tables
 from cpoch.discrete import (
+    TRIANGLE_KINDS,
     geometric_sum_pair,
     pochhammer_discrete,
     power_sum_pair,
@@ -16,6 +18,18 @@ from cpoch.discrete import (
     stirling_triangle,
 )
 from cpoch.verify import SIMPLEX_X
+
+def _recurrence_rows(kind: str, max_n: int) -> list[tuple[int, ...]]:
+    """Rows 0..max_n of kind, each entry by its recurrence from scratch."""
+    rows = [(1,)]
+    for n in range(max_n):
+        rows.append(tuple((rows[n][k - 1] if k else 0)
+                          + (k if kind == "second" else n) * (rows[n][k] if k <= n else 0)
+                          for k in range(n + 2)))
+    if kind == "first_signed":
+        rows = [tuple((-1) ** (n - k) * v for k, v in enumerate(row)) for n, row in enumerate(rows)]
+    return rows
+
 
 small_fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=12
@@ -126,6 +140,16 @@ class TestStirlingTriangles:
         tri = stirling_triangle("first_unsigned", 64)
         assert tri.value(64, 1) == math.factorial(63)
         assert max(tri.row(64)) > 2**64  # far beyond machine words
+
+    @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+    def test_held_rows_match_recurrence(self, kind):
+        # the rows held after the largest triangle serve every smaller one
+        empty_exact_tables()
+        expected = _recurrence_rows(kind, 64)
+        for max_n in (64, 0, 1, 17, 63, 64):
+            tri = stirling_triangle(kind, max_n)
+            assert (tri.kind, tri.max_n) == (kind, max_n)
+            assert tri.rows == tuple(expected[:max_n + 1])
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -337,6 +337,14 @@ class TestRho:
         with pytest.raises(OverflowError, match=r"w = y \(z-1\)\^2 / 2x overflows"):
             rho(x, y, z)
 
+    @pytest.mark.parametrize("x, y, z", [(1e300, 1e-300, 2.0), (1.0, 5e-324, 1.5)])
+    def test_reduced_argument_underflowing_to_zero(self, x, y, z):
+        # in the domain, but E(w, z - 1) has no series at w = 0: a numerical
+        # failure naming rho's w, not E_series refusing its argument
+        assert reduced_argument(x, y, z) == 0.0
+        with pytest.raises(ConvergenceError, match=r"w = y \(z-1\)\^2 / 2x underflows to 0"):
+            rho(x, y, z)
+
     # z - 1 past nu's cutoff (30 here), x > 1 and a small w: x^z scales E's
     # tail, so charging the rest more than its bound e^-cutoff would refuse
     # these; values as recorded before E_series stopped at the cutoff

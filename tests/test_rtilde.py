@@ -3,15 +3,19 @@ import math
 import operator
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpoch.rtilde
+from conftest import empty_exact_tables
 from cpoch.core import LogScaled
 from cpoch.gammafns import DIRECT_SUM_MAX_N, e_partial_sum
 from cpoch.rtilde import (
+    RTILDE_MAX_N,
     RTILDE_POLY_MAX_N,
     _POLY_ROW_CACHE_SIZE,
     _poly_row,
@@ -27,6 +31,7 @@ from cpoch.rtilde import (
     rtilde_triangle,
     stilde_mobius_oracle,
 )
+from cpoch.verify import _groupoid_oracle, _stilde_forward_oracle
 
 # rtilde_poly bits recorded while it still rebuilt every Fraction per call,
 # and (the last four rows) while its log-scaled sum still added LogScaled
@@ -130,6 +135,93 @@ class TestGroupoids:
 
     def test_recurrence_matches_composition_oracle(self, verify_cases):
         verify_cases.check("analogue1/groupoid_vs_composition_oracle")
+
+
+@pytest.fixture(scope="module")
+def forward_st():
+    """St rows 0..48 by the forward-substitution oracle."""
+    return _stilde_forward_oracle(RTILDE_MAX_N)
+
+
+def _column_lengths():
+    return {k: len(column) for k, column in cpoch.rtilde._GROUPOID_COLUMNS.items()}
+
+
+def _assert_store_full():
+    # column k holds entries p = 0..48-k and the triangle rows 0..48, each once
+    assert _column_lengths() == {k: RTILDE_MAX_N + 1 - k for k in range(1, RTILDE_MAX_N + 1)}
+    assert len(cpoch.rtilde._TRIANGLE_ROWS) == RTILDE_MAX_N + 1
+
+
+class TestHeldTables:
+    """The groupoid columns and triangle rows are built once per process."""
+
+    @pytest.mark.parametrize("sizes", [(0, 5, 12, 30, 48), (48, 30, 12, 5, 0)],
+                             ids=["small_first", "large_first"])
+    def test_store_filled_in_either_order(self, forward_st, sizes):
+        # each size requests its cells (n <= 12) in the same direction, then its triangle
+        empty_exact_tables()
+        for size in sizes:
+            cells = [(n, k) for n in range(1, min(size, 12) + 1) for k in range(1, n + 1)]
+            for n, k in cells if sizes[0] < sizes[-1] else reversed(cells):
+                cards = groupoid_cardinalities(n, k)
+                assert cards.g == rtilde_coefficient(n, k)
+                assert (cards.g_even, cards.g_odd) == _groupoid_oracle(n, k)
+            tri = rtilde_triangle(size)
+            assert tri.max_n == size
+            assert tri.S_rows == forward_st[:size + 1]
+            assert tri.r_rows == tuple(
+                tuple(rtilde_coefficient(n, k) for k in range(n + 1)) for n in range(size + 1))
+            assert tri.s_rows == tuple(
+                tuple((-1) ** (n - k) * v for k, v in enumerate(row))
+                for n, row in enumerate(tri.r_rows))
+        _assert_store_full()
+
+    def test_cells_past_the_bound_are_not_held(self):
+        empty_exact_tables()
+        rtilde_triangle(20)
+        before = _column_lengths()
+        for n, k in ((49, 1), (60, 3), (60, 57), (55, 50)):
+            cards = groupoid_cardinalities(n, k)
+            if n - k <= 3:  # the composition oracle is cheap there
+                assert (cards.g_even, cards.g_odd) == _groupoid_oracle(n, k)
+        assert _column_lengths() == before
+
+    def test_concurrent_growth_matches_cold_calls(self):
+        # threads that extend the columns and the triangle rows at once
+        # append no entry or row twice and return the cold tables
+        requests = [("triangle", 48), ("cell", (19, 3)), ("triangle", 7), ("cell", (48, 1)),
+                    ("triangle", 30), ("cell", (25, 12)), ("cell", (40, 2))]
+
+        def call(request):
+            kind, arg = request
+            return rtilde_triangle(arg) if kind == "triangle" else groupoid_cardinalities(*arg)
+
+        cold = []
+        for request in requests:
+            empty_exact_tables()
+            cold.append(call(request))
+        results = []
+
+        def sweep(k):  # the requests rotated by k, so the threads grow the store in turn
+            got = {request: call(request) for request in requests[k:] + requests[:k]}
+            results.append([got[request] for request in requests])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                empty_exact_tables()
+                threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(requests))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                _assert_store_full()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [cold] * (3 * len(requests))
 
 
 class TestEvaluations:
@@ -309,6 +401,12 @@ class TestEvaluations:
         assert rtilde_closed(-1.0, 1e-9, DIRECT_SUM_MAX_N + 1) == pytest.approx(
             -math.exp(-1e-9 * DIRECT_SUM_MAX_N**2 / 2.0), rel=1e-12)
         assert orders == [DIRECT_SUM_MAX_N, DIRECT_SUM_MAX_N + 1]
+
+    def test_closed_negative_sum_stops_once_terms_underflow(self, bounded):
+        # no log route for x < 0: at w = -y (n-1)^2 / 2 = -0.01 the terms of
+        # e_{n-1}(w) reach 0.0 by k ~ 100, so order 1e9 sums what order 400 does
+        assert e_partial_sum(10**9, -0.01) == e_partial_sum(400, -0.01)
+        assert rtilde_closed(-1.0, 2e-20, 10**9) == pytest.approx(math.exp(-0.01), rel=1e-8)
 
     def test_closed_overflow_without_log_form(self):
         # a negative x has no log-scaled form; leaving binary64 is an error

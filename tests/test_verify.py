@@ -11,8 +11,11 @@ Each suite with a mutation or a call count runs once more, patched, and
 every test of that suite reads that one run.  Sharing it is sound.  The
 analogue2 patches rebind ``E_series`` and ``rho`` in ``cpoch.verify`` only,
 so ``cpoch.rho.rho`` still calls the exact ``cpoch.rho.E_series`` and each
-wrong value reaches only the cases that call it from verify.  The verify
-grids are fixed, so a call count does not depend on the values returned.
+wrong value reaches only the cases that call it from verify.  A patched run
+starts from and leaves an empty store of exact tables, so the wrong
+recurrence builds every table it judges and no other test reads them.  The
+verify grids are fixed, so a call count does not depend on the values
+returned.
 """
 
 from dataclasses import replace
@@ -22,6 +25,7 @@ import pytest
 import cpoch.rtilde
 import cpoch.verify
 from cpoch.verify import SUITE_NAMES, run_suite
+from conftest import empty_exact_tables
 
 def _off_E_series(exact):
     def off(x, z, tol=1e-10):
@@ -35,11 +39,12 @@ def _off_rho(exact):
 
 
 def _off_groupoid_prefix(exact):
-    def off(k, m):
-        even, odd = exact(k, m)
-        if m >= 2:
-            even[2] += 1
-        return even, odd
+    def off(k, m, column):
+        start = len(column)
+        exact(k, m, column)
+        if start <= 2 <= m:
+            even, odd = column[2]
+            column[2] = (even + 1, odd)
     return off
 
 
@@ -76,7 +81,11 @@ def patched_run():
                     return exact(*args)
 
                 patch.setattr(cpoch.verify, counted_name, counted)
-                report = run_suite(suite)
+                empty_exact_tables()
+                try:
+                    report = run_suite(suite)
+                finally:
+                    empty_exact_tables()
             runs[suite] = {c.case_id: c.passed for c in report.cases}, len(seen)
         return runs[suite]
 
