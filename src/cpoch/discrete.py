@@ -6,19 +6,19 @@ first kind; the signed numbers s_{n,k} = (-1)^(n-k) r_{n,k} and the second
 kind S_{n,k} invert each other.  A brute-force lattice-point oracle and the
 ordered-simplex closed forms keep every identity independently checkable.
 
-The Stirling rows of each kind, ``first_signed`` included, are built once
-per process: ``_STIRLING_ROWS`` holds rows 0, 1, ... of each kind as far as
-any ``stirling_triangle`` has reached, so at most STIRLING_MAX_N + 1 = 65
-rows per kind.  Growth happens under the lock ``_GROWING``, and a call
-receives the held rows as a tuple, never a list that is extended later.
+The Stirling tables are ``lru_cache`` entries, built once per process:
+``_stirling_row`` holds row n of each kind (``first_signed`` included) and
+``_stirling`` each (kind, max_n) triangle asked for, at most 3 x 65 = 195
+each.  The entries are immutable, so concurrent callers need no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 __all__ = [
@@ -36,11 +36,6 @@ STIRLING_MAX_N = 64
 LATTICE_ORACLE_MAX_N = 9
 
 TRIANGLE_KINDS = ("first_unsigned", "first_signed", "second")
-
-#: Rows 0, 1, ... of each kind as far as any call has reached.
-_STIRLING_ROWS: dict[str, list[tuple[int, ...]]] = {kind: [(1,)] for kind in TRIANGLE_KINDS}
-#: Held while a call appends rows, so that concurrent callers never append a row twice.
-_GROWING = threading.Lock()
 
 
 def pochhammer_discrete(x, y, n: int):
@@ -83,51 +78,46 @@ class StirlingTriangle:
         return self.rows[n][k]
 
     def row(self, n: int) -> tuple[int, ...]:
+        if n < 0 or n > self.max_n:
+            raise IndexError(f"n={n} outside triangle of max_n={self.max_n}")
         return self.rows[n]
 
 
-def _held_rows(kind: str, max_n: int) -> list[tuple[int, ...]]:
-    """The held rows of kind, extended through max_n; the caller holds ``_GROWING``.
+@lru_cache(maxsize=None)
+def _stirling_row(kind: str, n: int) -> tuple[int, ...]:
+    """Row n of the Stirling triangle of kind.
 
     first_unsigned:  r_{n+1,k} = r_{n,k-1} + n r_{n,k}
     second:          S_{n+1,k} = S_{n,k-1} + k S_{n,k}
     first_signed:    s_{n,k} = (-1)^(n-k) r_{n,k}
     """
-    rows = _STIRLING_ROWS[kind]
     if kind == "first_signed":
-        unsigned = _held_rows("first_unsigned", max_n)
-        for n in range(len(rows), max_n + 1):
-            rows.append(tuple(-v if (n - k) & 1 else v for k, v in enumerate(unsigned[n])))
-        return rows
-    for n in range(len(rows) - 1, max_n):
-        prev = rows[n]
-        row = [0] * (n + 2)
-        for k in range(n + 2):
-            from_lower = prev[k - 1] if k >= 1 else 0
-            inside = prev[k] if k <= n else 0
-            if kind == "second":
-                row[k] = from_lower + k * inside
-            else:
-                row[k] = from_lower + n * inside
-        rows.append(tuple(row))
-    return rows
+        return tuple(-v if (n - k) & 1 else v
+                     for k, v in enumerate(_stirling_row("first_unsigned", n)))
+    if n == 0:
+        return (1,)
+    prev = (0, *_stirling_row(kind, n - 1), 0)  # prev[k] is entry k - 1 of row n - 1
+    return tuple(prev[k] + (k if kind == "second" else n - 1) * prev[k + 1] for k in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _stirling(kind: str, max_n: int) -> StirlingTriangle:
+    """The triangle of kind with the held rows 0..max_n."""
+    return StirlingTriangle(kind, max_n, tuple(_stirling_row(kind, n) for n in range(max_n + 1)))
 
 
 def stirling_triangle(kind: str, max_n: int) -> StirlingTriangle:
     """The Stirling triangle of kind up to row max_n, by the standard recurrences.
 
-    Rows are built once, when a call first reaches them (``_held_rows``),
-    and each call returns the held rows 0..max_n.
+    Each row and each triangle is built once, when a call first asks for
+    it (``_stirling_row``, ``_stirling``); max_n must be an integer.
     """
     if kind not in TRIANGLE_KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
+    max_n = operator.index(max_n)  # a float equal to an int would hit its cache entry
     if not 0 <= max_n <= STIRLING_MAX_N:
         raise ValueError(f"max_n must lie in [0, {STIRLING_MAX_N}], got {max_n}")
-    rows = _STIRLING_ROWS[kind]
-    if len(rows) <= max_n:
-        with _GROWING:
-            _held_rows(kind, max_n)
-    return StirlingTriangle(kind, max_n, tuple(rows[:max_n + 1]))
+    return _stirling(kind, max_n)
 
 
 def stirling_lattice_oracle(n: int, k: int) -> int:

@@ -38,15 +38,16 @@ over the whole window, the full-node series values and the running sum
 after each full segment, so a z-sweep at fixed x pays for each once and a
 call adds only its own partial segment; ``E_deriv_z`` reads its
 coefficients there too.  The full-node denominators depend on neither x
-nor z, so one module-level table holds them for every x.  Memory: per
-cached x (64 at most) one running entry per full segment a call reached,
-at most cutoff - 3; in the table one row per t0 any call reached.
+nor z, so the ``lru_cache`` of ``_full_denoms`` holds them for every x.
+Memory: per cached x (64 at most) one running entry per full segment a
+call reached, at most cutoff - 3; one denominator row per t0 <= cutoff
+(< 746) any call reached.  Each field and row is assigned whole and equal
+whoever builds it, so concurrent callers need no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul, truediv
@@ -70,22 +71,17 @@ _SEGMENT_RULE_NODES = 24  # Gauss-Legendre per unit subinterval
 _NODES, _WEIGHTS = _LEGENDRE_RULES[_SEGMENT_RULE_NODES]
 _NODE_SHIFTS = tuple(node + 1.0 for node in _NODES)  # a segment of width 2h has u = h (node + 1)
 _FULL_U = tuple(0.5 * shift for shift in _NODE_SHIFTS)
-#: Row t0 - 2 is (u+1)...(u+t0) at the full-segment nodes, for t0 = 2 up to
-#: the largest t0 any call has reached; shared by every x.
-_FULL_DENOMS = [tuple((u + 1.0) * (u + 2.0) for u in _FULL_U)]
-#: Held while a call appends to ``_FULL_DENOMS`` or to a state's running
-#: sums, so that concurrent callers never append a row or an entry twice.
-_GROWING = threading.Lock()
 
 
+@lru_cache(maxsize=None)
 def _full_denoms(t0: int) -> tuple[float, ...]:
-    """(u+1)...(u+t0) at the full-segment nodes; the caller holds ``_GROWING``.
-    Each row extends the one before by the factor (u+t0), in the order a
-    fresh product takes, so the floats match it."""
-    while len(_FULL_DENOMS) < t0 - 1:
-        factor = len(_FULL_DENOMS) + 2
-        _FULL_DENOMS.append(tuple(map(mul, _FULL_DENOMS[-1], map(add, _FULL_U, repeat(factor)))))
-    return _FULL_DENOMS[t0 - 2]
+    """(u+1)...(u+t0) at the full-segment nodes, shared by every x.  Each
+    row extends row t0 - 1 by the factor (u+t0), in the order a fresh
+    product takes, so the floats match it; callers ask in ascending t0,
+    so a row recurses once."""
+    if not t0:
+        return (1.0,) * _SEGMENT_RULE_NODES
+    return tuple(map(mul, _full_denoms(t0 - 1), map(add, _FULL_U, repeat(t0))))
 
 
 def _head(coeffs: tuple[float, ...], head: float) -> tuple[float, float, float]:
@@ -119,11 +115,12 @@ class _SeriesState:
     bound over the whole window (``_head``) and ``running``, the (total,
     floor) after 0, 1, 2, ... full segments t0 = 3, 4, ..., begun from the
     window head; and the weight * series value at each full-segment node,
-    which extends ``running``.  A call appends the segments no call at x
-    has reached and reads the entry at its own count.  The sums are added
-    in segment order whatever z asks, so every z reads the floats its own
-    loop over the segments would give; tol only moves the cutoff, which
-    caps the count.
+    which extends ``running``.  A call extends a copy of ``running`` by the
+    segments no call at x has reached, assigns it whole and reads the entry
+    at its own count; a concurrent call may assign an equal shorter prefix
+    after it, which costs work, not bits.  The sums are added in segment
+    order whatever z asks, so every z reads the floats its own loop over
+    the segments would give; tol only moves the cutoff, which caps the count.
     """
 
     __slots__ = ("x", "coeffs", "window_trunc", "running", "full_products")
@@ -138,22 +135,24 @@ class _SeriesState:
     def after_full_segments(self, count: int) -> tuple[float, float, float]:
         """(total, trunc, floor) of E from 0 to 3 + count: the head over the
         window and ``count`` full segments."""
-        if self.running is None or count >= len(self.running):
-            with _GROWING:
-                if self.running is None:
-                    total, self.window_trunc, floor = _head(self.coeffs, SERIES_WINDOW)
-                    self.running = [(total, floor)]
-                running = self.running
-                if count >= len(running):
-                    if self.full_products is None:
-                        self.full_products = tuple(
-                            map(mul, _WEIGHTS, [_horner(self.coeffs, u) for u in _FULL_U]))
-                    total, floor = running[-1]
-                    for t0 in range(len(running) + 2, count + 3):
-                        total, floor = _add_segment(total, floor, self.x, t0, self.full_products,
-                                                    _full_denoms(t0), 0.5)
-                        running.append((total, floor))
-        total, floor = self.running[count]
+        running = self.running
+        if running is None:
+            total, self.window_trunc, floor = _head(self.coeffs, SERIES_WINDOW)
+            running = self.running = ((total, floor),)  # after window_trunc, which it implies
+        if count >= len(running):
+            if self.full_products is None:
+                self.full_products = tuple(
+                    map(mul, _WEIGHTS, [_horner(self.coeffs, u) for u in _FULL_U]))
+            grown = list(running)
+            total, floor = grown[-1]
+            try:
+                for t0 in range(len(grown) + 2, count + 3):
+                    total, floor = _add_segment(total, floor, self.x, t0, self.full_products,
+                                                _full_denoms(t0), 0.5)
+                    grown.append((total, floor))
+            finally:  # keeps the segments before an OverflowError of x^t0
+                self.running = running = tuple(grown)
+        total, floor = running[count]
         return total, self.window_trunc, floor
 
 

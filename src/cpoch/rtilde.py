@@ -17,21 +17,20 @@ groupoid cardinalities of the cells (k+p, k) and, through their signed
 difference, the St column.  The exact forward substitution against st is
 the independent oracle for both, in ``cpoch.verify``.
 
-Each entry depends only on its cell, so the exact tables are built once per
-process and extended on demand: ``_GROUPOID_COLUMNS`` holds each column's
-recurrence entries as far as any call has reached, and ``_TRIANGLE_ROWS``
-the (rt, st, St) rows as far as any ``rtilde_triangle`` has reached.  Both
-are bounded by ``RTILDE_MAX_N``: a column entry is held only while
-k + p <= 48, so at most 48 columns of 48 - k + 1 integer pairs and 49
-rows; a larger cell runs the recurrence without storing it.  Growth happens
-under one lock, ``_GROWING``, and callers receive only tuples and immutable
-results, never a list that is extended later.
+Each entry depends only on its cell, so the exact tables are ``lru_cache``
+entries, built once per process and bounded by ``RTILDE_MAX_N`` = 48:
+``_held_prefix`` holds column k's entries 0..m for each (k, m) with
+k + m <= 48 a call reached (1176 at most, each the one before plus one
+entry), ``_groupoid_cell`` each cell with n <= 48 (1176), ``_triangle_row``
+the (rt, st, St) rows (49) and ``_triangle`` each triangle asked for (49).
+A cell past n = 48 runs the recurrence and holds nothing.  The entries are
+immutable, so concurrent callers need no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,15 +71,6 @@ SERIES_FORMS_TOL = 1e-9  # relative; behind the converged flag of both series fo
 #: exact tables (n <= RTILDE_MAX_N) fits, so a sweep over them builds each once.
 _POLY_ROW_CACHE_SIZE = 64
 
-#: Column k >= 1 of the groupoid recurrence: its (even[p], odd[p]) for
-#: p = 0, 1, ... as far as any call has reached, held while k + p <= RTILDE_MAX_N.
-_GROUPOID_COLUMNS: dict[int, list[tuple[int, int]]] = {}
-#: The (rt, st, St) rows 0, 1, ... as far as any ``rtilde_triangle`` has reached.
-_TRIANGLE_ROWS: list[tuple[tuple[Fraction, ...], ...]] = []
-#: Held while a call extends a column or the triangle rows, so that
-#: concurrent callers never append an entry or a row twice.
-_GROWING = threading.Lock()
-
 
 def rtilde_coefficient(n: int, k: int) -> Fraction:
     """Exact coefficient rt_{n,k} = (n-1)^(2(n-k)) / (2^(n-k) (n-k)!)."""
@@ -115,19 +105,20 @@ class RTildeTriangle:
         return self.S_rows[n][k] if 0 <= k <= n else Fraction(0)
 
 
-def _groupoid_prefix(k: int, m: int, column: list[tuple[int, int]]) -> None:
-    """Extend column k >= 1 of integer groupoid numerators through entry m, in place.
+def _groupoid_prefix(k: int, m: int,
+                     start: tuple[tuple[int, int], ...] = ((1, 0),)) -> tuple[tuple[int, int], ...]:
+    """Column k >= 1 of integer groupoid numerators through entry m, extending ``start``.
 
-    ``column`` holds (even[p], odd[p]) for p below its length, at least
+    ``start`` holds (even[p], odd[p]) for p below its length, at least
     G[0] = (1, 0).  Splitting the last part a off a composition of p gives
 
         G[p][parity] = sum_{a=1..p} binom(p, a) (p+k-1)^(2a) G[p-a][1-parity],
 
     so even[p], odd[p] = G[p][0], G[p][1].  Over 2^p p! they are |G^e| and
     |G^o| of the cell (k+p, k), and their signed difference is St_{k+p,k}.
-    Each sum is a polynomial in (p+k-1)^2, evaluated by Horner's rule, and
-    each entry is appended as one pair.
+    Each sum is a polynomial in (p+k-1)^2, evaluated by Horner's rule.
     """
+    column = list(start)
     for p in range(len(column), m + 1):
         square = (p + k - 1) ** 2
         e = o = 0
@@ -137,14 +128,34 @@ def _groupoid_prefix(k: int, m: int, column: list[tuple[int, int]]) -> None:
             e = (e + weight * odd) * square
             o = (o + weight * even) * square
         column.append((e, o))
+    return tuple(column)
 
 
-def _held_column(k: int, m: int) -> list[tuple[int, int]]:
-    """Column k of ``_GROUPOID_COLUMNS``, extended through entry m <= RTILDE_MAX_N - k;
-    the caller holds ``_GROWING``."""
-    column = _GROUPOID_COLUMNS.setdefault(k, [(1, 0)])
-    _groupoid_prefix(k, m, column)
-    return column
+@lru_cache(maxsize=None)
+def _held_prefix(k: int, m: int) -> tuple[tuple[int, int], ...]:
+    """Entries 0..m of column k, for k + m <= RTILDE_MAX_N: the held entries
+    0..m-1 extended by one, so each entry is computed once."""
+    return _groupoid_prefix(k, m, _held_prefix(k, m - 1) if m else ((1, 0),))
+
+
+@lru_cache(maxsize=None)
+def _triangle_row(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Row n of rt, st and St, for n <= RTILDE_MAX_N."""
+    r_row = tuple(rtilde_coefficient(n, k) for k in range(n + 1))
+    s_row = tuple(-v if (n - k) & 1 else v for k, v in enumerate(r_row))
+    S_row = [Fraction(1 if n == 0 else 0)]
+    for k in range(1, n + 1):
+        p = n - k
+        e, o = _held_prefix(k, p)[p]
+        S_row.append(Fraction(o - e if p & 1 else e - o, 2**p * math.factorial(p)))
+    return r_row, s_row, tuple(S_row)
+
+
+@lru_cache(maxsize=None)
+def _triangle(max_n: int) -> RTildeTriangle:
+    """The triangles with the held rows 0..max_n."""
+    r_rows, s_rows, S_rows = zip(*map(_triangle_row, range(max_n + 1)))
+    return RTildeTriangle(max_n, r_rows, s_rows, S_rows)
 
 
 def rtilde_triangle(max_n: int) -> RTildeTriangle:
@@ -154,32 +165,20 @@ def rtilde_triangle(max_n: int) -> RTildeTriangle:
     St_{k+p,k} = (-1)^p D[p] / (2^p p!), the inversion sum_l st_{n,l} St_{l,k}
     = delta_{n,k} is the recurrence D[p] = -sum_{a=1..p} binom(p, a)
     (p+k-1)^(2a) D[p-a], D[0] = 1, which D = even - odd of
-    ``_groupoid_prefix`` satisfies; so the held columns give
+    ``_groupoid_prefix`` satisfies; so the held prefixes give
 
         St_{k+p,k} = (-1)^p (even[p] - odd[p]) / (2^p p!).
 
     Column 0 is the unit vector, since st_{n,0} = 0 for n >= 1.  The exact
     forward substitution St_{n,k} = -sum_{k<=l<n} st_{n,l} St_{l,k} is the
-    independent oracle ``cpoch.verify._stilde_forward_oracle``.  The rows
-    are built once, when a call first reaches them, and each call returns
-    the held rows 0..max_n.
+    independent oracle ``cpoch.verify._stilde_forward_oracle``.  Each row
+    and each triangle is built once, when a call first asks for it
+    (``_triangle_row``, ``_triangle``); max_n must be an integer.
     """
+    max_n = operator.index(max_n)  # a float equal to an int would hit its cache entry
     if not 0 <= max_n <= RTILDE_MAX_N:
         raise ValueError(f"max_n must lie in [0, {RTILDE_MAX_N}], got {max_n}")
-    if len(_TRIANGLE_ROWS) <= max_n:
-        with _GROWING:
-            columns = [_held_column(k, max_n - k) for k in range(1, max_n + 1)]
-            for n in range(len(_TRIANGLE_ROWS), max_n + 1):
-                r_row = tuple(rtilde_coefficient(n, k) for k in range(n + 1))
-                s_row = tuple(-v if (n - k) & 1 else v for k, v in enumerate(r_row))
-                S_row = [Fraction(1 if n == 0 else 0)]
-                for k in range(1, n + 1):
-                    p = n - k
-                    e, o = columns[k - 1][p]
-                    S_row.append(Fraction(o - e if p & 1 else e - o, 2**p * math.factorial(p)))
-                _TRIANGLE_ROWS.append((r_row, s_row, tuple(S_row)))
-    r_rows, s_rows, S_rows = zip(*_TRIANGLE_ROWS[:max_n + 1])
-    return RTildeTriangle(max_n, r_rows, s_rows, S_rows)
+    return _triangle(max_n)
 
 
 def stilde_mobius_oracle(n: int, k: int) -> Fraction:
@@ -215,6 +214,19 @@ class GroupoidCardinalities:
     g_odd: Fraction
 
 
+@lru_cache(maxsize=None)
+def _groupoid_cell(n: int, k: int) -> GroupoidCardinalities:
+    """The cardinalities of cell (n, k), 0 < k <= n; column k's entries are
+    the held ones while n <= RTILDE_MAX_N."""
+    m = n - k
+    g = rtilde_coefficient(n, k)
+    if m == 0:
+        return GroupoidCardinalities(g, Fraction(0), Fraction(0))
+    even, odd = (_held_prefix(k, m) if n <= RTILDE_MAX_N else _groupoid_prefix(k, m))[m]
+    denom = 2**m * math.factorial(m)
+    return GroupoidCardinalities(g, Fraction(even, denom), Fraction(odd, denom))
+
+
 def groupoid_cardinalities(n: int, k: int) -> GroupoidCardinalities:
     """Cardinalities of the weighted-map groupoids behind rt and St.
 
@@ -226,26 +238,16 @@ def groupoid_cardinalities(n: int, k: int) -> GroupoidCardinalities:
 
     restricted to even (respectively odd) part counts l.  They are entry m
     of the integer recurrence ``_groupoid_prefix`` over 2^m m!, the same
-    column that builds St in ``rtilde_triangle``, read from the held column
-    while n <= RTILDE_MAX_N; the n = k cell is (0, 0).
+    column that builds St in ``rtilde_triangle``; the n = k cell is (0, 0).
+    A cell with n <= RTILDE_MAX_N is built once and held; n and k must be
+    integers.
     """
+    n, k = operator.index(n), operator.index(k)  # a float would hit an int's cache entry
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got n={n}, k={k}")
-    m = n - k
-    g = rtilde_coefficient(n, k)
-    if m == 0:
-        return GroupoidCardinalities(g, Fraction(0), Fraction(0))
     if n > RTILDE_MAX_N:
-        column = [(1, 0)]
-        _groupoid_prefix(k, m, column)
-    else:
-        column = _GROUPOID_COLUMNS.get(k, ())
-        if len(column) <= m:
-            with _GROWING:
-                column = _held_column(k, m)
-    even, odd = column[m]
-    denom = 2**m * math.factorial(m)
-    return GroupoidCardinalities(g, Fraction(even, denom), Fraction(odd, denom))
+        return _groupoid_cell.__wrapped__(n, k)
+    return _groupoid_cell(n, k)
 
 
 @lru_cache(maxsize=_POLY_ROW_CACHE_SIZE)

@@ -39,12 +39,21 @@ def bounded():
         signal.signal(signal.SIGALRM, previous)
 
 
+#: The memoised functions that hold the exact tables.
+EXACT_TABLE_CACHES = (
+    cpoch.rtilde._held_prefix,
+    cpoch.rtilde._groupoid_cell,
+    cpoch.rtilde._triangle_row,
+    cpoch.rtilde._triangle,
+    cpoch.discrete._stirling_row,
+    cpoch.discrete._stirling,
+)
+
+
 def empty_exact_tables() -> None:
-    """Forget every held groupoid column, rtilde triangle row and Stirling row."""
-    cpoch.rtilde._GROUPOID_COLUMNS.clear()
-    del cpoch.rtilde._TRIANGLE_ROWS[:]
-    for rows in cpoch.discrete._STIRLING_ROWS.values():
-        del rows[1:]
+    """Forget every held groupoid prefix and cell, rtilde triangle and Stirling triangle."""
+    for cache in EXACT_TABLE_CACHES:
+        cache.cache_clear()
 
 
 class SuiteCases:

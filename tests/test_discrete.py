@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import empty_exact_tables
 from cpoch.discrete import (
     TRIANGLE_KINDS,
+    _stirling,
+    _stirling_row,
     geometric_sum_pair,
     pochhammer_discrete,
     power_sum_pair,
@@ -151,11 +153,43 @@ class TestStirlingTriangles:
             assert (tri.kind, tri.max_n) == (kind, max_n)
             assert tri.rows == tuple(expected[:max_n + 1])
 
+    @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+    def test_held_rows_each_built_once(self, kind):
+        empty_exact_tables()
+        stirling_triangle(kind, 17)
+        tri = stirling_triangle(kind, 17)
+        assert stirling_triangle(kind, 17) is tri
+        # rows 0..17, with the unsigned rows the signed ones are read from
+        rows = 18 * (2 if kind == "first_signed" else 1)
+        assert _stirling_row.cache_info()[1:] == (rows, None, rows)  # misses, maxsize, currsize
+        assert _stirling.cache_info()[:2] == (2, 1)  # hits, misses
+
     def test_guards(self):
         with pytest.raises(ValueError):
             stirling_triangle("first_unsigned", 65)
         with pytest.raises(ValueError):
             stirling_triangle("third", 5)
+
+    @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+    def test_float_order_refused_cold_and_warm(self, kind):
+        # a float equal to an int is refused, also once that int's triangle is held
+        empty_exact_tables()
+        with pytest.raises(TypeError):
+            stirling_triangle(kind, 3.0)
+        assert _stirling.cache_info().currsize == 0
+        stirling_triangle(kind, 3)
+        with pytest.raises(TypeError):
+            stirling_triangle(kind, 3.0)
+        assert _stirling.cache_info().currsize == 1
+
+    def test_row_bound_is_the_value_bound(self):
+        tri = stirling_triangle("second", 5)
+        for n in (-1, 6):
+            with pytest.raises(IndexError):
+                tri.value(n, 0)
+            with pytest.raises(IndexError):
+                tri.row(n)
+        assert tri.row(5) == (0, 1, 15, 25, 10, 1)
 
 
 class TestSimplexClosedForms:

@@ -146,7 +146,7 @@ class TestWeightedCache:
         _series_state.cache_clear()
         E_series(2.0, 30.0)
         state = _series_state(2.0)
-        entries, rows = len(state.running), len(rho_module._FULL_DENOMS)
+        entries, rows = len(state.running), rho_module._full_denoms.cache_info()
         assert entries == 1 + 27  # the window head, then t0 = 3 .. 29
         add_segment, summed = rho_module._add_segment, []
 
@@ -157,8 +157,27 @@ class TestWeightedCache:
         monkeypatch.setattr(rho_module, "_add_segment", counting)
         for z in (0.5, 3.0, 3.5, 4.0, 12.25, 29.0, 29.75, 30.0):
             E_series(2.0, z)
-        assert (len(state.running), len(rho_module._FULL_DENOMS)) == (entries, rows)
+        assert (len(state.running), rho_module._full_denoms.cache_info()) == (entries, rows)
         assert summed == [3, 12, 29]
+
+    def test_overflowing_fill_keeps_its_segments(self, monkeypatch):
+        # at x = 30, x^t0 overflows at t0 = 209, before nu's cutoff; the
+        # segments summed before it stay held, so a second call retries one
+        rho_module = sys.modules["cpoch.rho"]
+        _series_state.cache_clear()
+        with pytest.raises(OverflowError):
+            E_series(30.0, math.inf)
+        assert len(_series_state(30.0).running) == 1 + 206  # t0 = 3 .. 208
+        add_segment, summed = rho_module._add_segment, []
+
+        def counting(total, floor, x, t0, *rest):
+            summed.append(t0)
+            return add_segment(total, floor, x, t0, *rest)
+
+        monkeypatch.setattr(rho_module, "_add_segment", counting)
+        with pytest.raises(OverflowError):
+            E_series(30.0, math.inf)
+        assert summed == [209]
 
     def test_series_state_bounded(self):
         _series_state.cache_clear()

@@ -139,13 +139,16 @@ class TestESeries:
 
     def test_concurrent_sweeps_match_cold_calls(self):
         # threads that fill one x's running sums and the shared denominator
-        # table at once append no entry or row twice
+        # rows at once return the cold fields and hold only cold entries
         rho_module = sys.modules["cpoch.rho"]
         x, zs = 0.7, (29.5, 4.0, 17.25, 30.0, 8.0, 23.5)
         cold = []
         for z in zs:
             _series_state.cache_clear()
             cold.append(_outcome(x, z, 1e-10))
+        _series_state.cache_clear()
+        _outcome(x, max(zs), 1e-10)
+        cold_running = _series_state(x).running  # the window head and t0 = 3 .. 29
         results = []
 
         def sweep(k):  # the zs rotated by k, so the threads grow the sums in turn
@@ -157,13 +160,20 @@ class TestESeries:
         try:
             for _ in range(5):
                 _series_state.cache_clear()
-                del rho_module._FULL_DENOMS[1:]  # rebuilt, bit for bit, by the sweeps
+                rho_module._full_denoms.cache_clear()  # rebuilt, bit for bit, by the sweeps
                 threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(zs))]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
+                # z = 30 reaches the full segments t0 = 3 .. 29: rows 0..29.  A
+                # thread may assign a shorter prefix after a longer one, so the
+                # held running sums are some prefix of the cold ones
+                assert rho_module._full_denoms.cache_info().currsize == 30
+                assert _series_state.cache_info().currsize == 1
+                running = _series_state(x).running
+                assert running == cold_running[:len(running)]
         finally:
             sys.setswitchinterval(interval)
         assert results == [cold] * (5 * len(zs))

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpoch.discrete
 import cpoch.rtilde
 from conftest import empty_exact_tables
 from cpoch.core import LogScaled
+from cpoch.discrete import stirling_triangle
 from cpoch.gammafns import DIRECT_SUM_MAX_N, e_partial_sum
 from cpoch.rtilde import (
     RTILDE_MAX_N,
@@ -143,18 +145,19 @@ def forward_st():
     return _stilde_forward_oracle(RTILDE_MAX_N)
 
 
-def _column_lengths():
-    return {k: len(column) for k, column in cpoch.rtilde._GROUPOID_COLUMNS.items()}
+#: (k, m) with k + m <= 48: every held groupoid prefix
+HELD_PREFIXES = RTILDE_MAX_N * (RTILDE_MAX_N + 1) // 2
 
 
-def _assert_store_full():
-    # column k holds entries p = 0..48-k and the triangle rows 0..48, each once
-    assert _column_lengths() == {k: RTILDE_MAX_N + 1 - k for k in range(1, RTILDE_MAX_N + 1)}
-    assert len(cpoch.rtilde._TRIANGLE_ROWS) == RTILDE_MAX_N + 1
+def _held_counts():
+    """(held prefixes, held cells, held triangle rows, held triangles)."""
+    return tuple(cache.cache_info().currsize for cache in (
+        cpoch.rtilde._held_prefix, cpoch.rtilde._groupoid_cell, cpoch.rtilde._triangle_row,
+        cpoch.rtilde._triangle))
 
 
 class TestHeldTables:
-    """The groupoid columns and triangle rows are built once per process."""
+    """The groupoid prefixes and cells and the triangle rows are built once per process."""
 
     @pytest.mark.parametrize("sizes", [(0, 5, 12, 30, 48), (48, 30, 12, 5, 0)],
                              ids=["small_first", "large_first"])
@@ -175,26 +178,61 @@ class TestHeldTables:
             assert tri.s_rows == tuple(
                 tuple((-1) ** (n - k) * v for k, v in enumerate(row))
                 for n, row in enumerate(tri.r_rows))
-        _assert_store_full()
+        # every prefix with k + m <= 48, the 78 cells with n <= 12, the rows
+        # 0..48 and the five triangles, each computed once
+        assert _held_counts() == (HELD_PREFIXES, 78, RTILDE_MAX_N + 1, len(sizes))
+        assert cpoch.rtilde._held_prefix.cache_info().misses == HELD_PREFIXES
+        assert cpoch.rtilde._triangle_row.cache_info().misses == RTILDE_MAX_N + 1
 
     def test_cells_past_the_bound_are_not_held(self):
         empty_exact_tables()
         rtilde_triangle(20)
-        before = _column_lengths()
+        before = _held_counts()
         for n, k in ((49, 1), (60, 3), (60, 57), (55, 50)):
             cards = groupoid_cardinalities(n, k)
             if n - k <= 3:  # the composition oracle is cheap there
                 assert (cards.g_even, cards.g_odd) == _groupoid_oracle(n, k)
-        assert _column_lengths() == before
+        assert _held_counts() == before
+
+    def test_held_cell_is_returned_again(self):
+        empty_exact_tables()
+        cards = groupoid_cardinalities(40, 7)
+        assert groupoid_cardinalities(40, 7) is cards
+        assert cpoch.rtilde._groupoid_cell.cache_info()[:2] == (1, 1)  # hits, misses
+        # the first call builds column 7 through its entry m = 33, and no further
+        assert _held_counts()[0] == 34
+
+    @pytest.mark.parametrize("call", [
+        lambda order: rtilde_triangle(order),
+        lambda order: groupoid_cardinalities(order, 1),
+        lambda order: groupoid_cardinalities(5, order - 2),
+    ], ids=["triangle", "cell_n", "cell_k"])
+    def test_float_orders_refused_cold_and_warm(self, call):
+        # a float equal to an int is refused, also once that int's entry is held
+        empty_exact_tables()
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                call(3.0)
+            assert _held_counts() == (0, 0, 0, 0)
+        call(3)
+        held = _held_counts()
+        with pytest.raises(TypeError):
+            call(3.0)
+        assert _held_counts() == held
 
     def test_concurrent_growth_matches_cold_calls(self):
-        # threads that extend the columns and the triangle rows at once
-        # append no entry or row twice and return the cold tables
+        # threads that fill the groupoid prefixes and cells, the triangle
+        # rows and the Stirling rows at once return the cold tables
         requests = [("triangle", 48), ("cell", (19, 3)), ("triangle", 7), ("cell", (48, 1)),
-                    ("triangle", 30), ("cell", (25, 12)), ("cell", (40, 2))]
+                    ("triangle", 30), ("cell", (25, 12)), ("cell", (40, 2)),
+                    ("stirling", ("first_signed", 64)), ("stirling", ("second", 40)),
+                    ("stirling", ("first_unsigned", 12))]
+        threads_per_round = 7
 
         def call(request):
             kind, arg = request
+            if kind == "stirling":
+                return stirling_triangle(*arg)
             return rtilde_triangle(arg) if kind == "triangle" else groupoid_cardinalities(*arg)
 
         cold = []
@@ -203,7 +241,7 @@ class TestHeldTables:
             cold.append(call(request))
         results = []
 
-        def sweep(k):  # the requests rotated by k, so the threads grow the store in turn
+        def sweep(k):  # the requests rotated by k, so the threads fill the caches in turn
             got = {request: call(request) for request in requests[k:] + requests[:k]}
             results.append([got[request] for request in requests])
 
@@ -212,16 +250,21 @@ class TestHeldTables:
         try:
             for _ in range(3):
                 empty_exact_tables()
-                threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(requests))]
+                threads = [threading.Thread(target=sweep, args=(k,))
+                           for k in range(threads_per_round)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
-                _assert_store_full()
+                # every prefix, the four cells, the rows 0..48, the three
+                # triangles; Stirling rows 0..64 signed and unsigned, 0..40 second
+                assert _held_counts() == (HELD_PREFIXES, 4, RTILDE_MAX_N + 1, 3)
+                assert cpoch.discrete._stirling_row.cache_info().currsize == 65 + 65 + 41
+                assert cpoch.discrete._stirling.cache_info().currsize == 3
         finally:
             sys.setswitchinterval(interval)
-        assert results == [cold] * (3 * len(requests))
+        assert results == [cold] * (3 * threads_per_round)
 
 
 class TestEvaluations:

@@ -39,12 +39,12 @@ def _off_rho(exact):
 
 
 def _off_groupoid_prefix(exact):
-    def off(k, m, column):
-        start = len(column)
-        exact(k, m, column)
-        if start <= 2 <= m:
+    def off(k, m, start=((1, 0),)):
+        column = exact(k, m, start)
+        if len(start) <= 2 <= m:
             even, odd = column[2]
-            column[2] = (even + 1, odd)
+            column = column[:2] + ((even + 1, odd),) + column[3:]
+        return column
     return off
 
 
