@@ -20,12 +20,21 @@ head terms zeta(n+1) c_0 ~ 1 must cancel), and t^n amplification then
 destroys every evaluation near the edge of the window.  The 140-digit
 recursion itself lives in ``cpoch.verify``, as the oracle that the
 literals must match bit for bit.
+
+``rho``'s per-x series state does not build the whole shifted table.  Its
+head sums sum_k c_k(x) h^(k+1) / (k+1) over h <= 3 add their terms in
+order, and past a cut order N(x) every term is provably below a quarter
+ulp of the running sum, so rounding absorbs it (``_head_cut``).  The state
+builds c_0(x) .. c_N(x) and c_110(x), which the head's truncation estimate
+reads; N(x) < 110 for x in [0.0037, 1200].
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
+from itertools import accumulate
 
 from .core import MACHINE_EPS, SeriesEval, zeta_hat
 from .discrete import _compositions
@@ -145,21 +154,83 @@ def recip_gamma_series(t: float) -> SeriesEval:
     return SeriesEval(value, len(coeffs), tail, converged)
 
 
-def weighted_series_coeffs(x: float) -> tuple[float, ...]:
-    """Coefficients c_0(x) .. c_110(x) of t -> x^t / Gamma(t+1).
-
-    c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!, so c_n(1) = c_n.  Built on
-    every call; ``rho`` keeps them in its per-x state.
-    """
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"weighted_series_coeffs requires a finite x > 0, got {x}")
+def _log_powers(x: float) -> list[float]:
+    """ln(x)^k / k! for k = 0 .. TABLE_ORDER, the weights of every c_n(x)."""
     lx = math.log(x)
-    # c_n(x) = sum_k c_{n-k} lx^k / k!, all orders from one list of lx^k / k!;
-    # map stops at the shorter operand, c_n .. c_0, so no slice of log_powers.
     log_powers = [1.0]
     for k in range(1, TABLE_ORDER + 1):
         log_powers.append(log_powers[-1] * lx / k)
+    return log_powers
+
+
+def _shifted(log_powers: list[float], orders: range | tuple[int, ...]) -> tuple[float, ...]:
+    """c_n(x) = sum_k c_{n-k} ln(x)^k / k!, rounded once, for each n of orders.
+
+    map stops at the shorter operand, c_n .. c_0, so no slice of log_powers.
+    """
     return tuple(
-        math.fsum(map(operator.mul, _REVERSED[TABLE_ORDER - n:], log_powers))
-        for n in range(TABLE_ORDER + 1)
+        math.fsum(map(operator.mul, _REVERSED[TABLE_ORDER - n:], log_powers)) for n in orders
     )
+
+
+def weighted_series_coeffs(x: float) -> tuple[float, ...]:
+    """Coefficients c_0(x) .. c_110(x) of t -> x^t / Gamma(t+1).
+
+    c_n(x) = sum_{k<=n} c_{n-k} ln(x)^k / k!, so c_n(1) = c_n.  Built whole
+    on every call, for ``E_deriv_z`` and the verify oracles; ``rho``'s per-x
+    state keeps only the prefix c_0(x) .. c_N(x) of ``_cut_series_coeffs``.
+    """
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"weighted_series_coeffs requires a finite x > 0, got {x}")
+    return _shifted(_log_powers(x), range(TABLE_ORDER + 1))
+
+
+#: 3^k, the largest power of a head argument in the series window.
+_WINDOW_POWERS = tuple(SERIES_WINDOW**k for k in range(TABLE_ORDER + 1))
+#: R_i = sum_{m=i}^{110} |c_m| 3^m, for i = 110 down to 0.
+_TAIL_SUMS = tuple(accumulate(map(operator.mul, map(abs, _REVERSED), _WINDOW_POWERS[::-1])))
+#: R_111 = 0, R_110 .. R_1 and then R_0 110 times: from index 110 - N on,
+#: entry j is R_{N+1-j} for j <= N and R_0 past it.
+_CUT_WEIGHTS = (0.0, *_TAIL_SUMS[:-1]) + _TAIL_SUMS[-1:] * TABLE_ORDER
+#: Covers the rounding of the bound's own float sums, of the coefficients
+#: and of the head terms (a few hundred roundings of 2^-53 each).
+_CUT_MARGIN = 1.0 + 2.0**-30
+
+
+def _head_cut(x: float, log_powers: list[float]) -> int:
+    """Least N for which a head sum over c_0(x) .. c_N(x) has the full table's bits.
+
+    A head sum adds the terms c_k(x) h^(k+1) / (k+1), k = 0 .. 110, in
+    order, for an h <= 3.  |c_k(x)| <= A_k = sum_j |c_{k-j}| l^j / j! with
+    l = |ln x|, so every term past order N is below h times
+
+        sum_{k>N} A_k 3^k <= sum_{j<=N} (3l)^j/j! R_{N+1-j} + R_0 sum_{N<j<=110} (3l)^j/j!,
+
+    R_i = sum_{m=i}^{110} |c_m| 3^m.  The sum approximates E(x, h), which
+    is at least h min(1, x^3) / 6 because x^t >= min(1, x^3) and
+    Gamma(t+1) <= 6 on [0, 3]; a quarter ulp of a sum s is at least
+    2^-55 |s|.  So once the bound, times a rounding margin, is below
+    2^-56 min(1, x^3) / 6, every dropped term is below a quarter ulp of the
+    running sum at order N, which then absorbs it: the sum keeps the full
+    table's bits.  The factor 2 between 2^-56 and 2^-55 covers the computed
+    sum's own error against E: wherever an order certifies (x in [0.0037,
+    1200]) its round-off bound, 250 * 2^-53 sum_k A_k h^(k+1) / (k+1), stays
+    below 4e-5 of the sum (checked on a grid of 400 x per decade).  Each
+    probe of N is one C-level sum over the build's own ``log_powers``, and
+    the binary search makes at most 7; TABLE_ORDER where none certifies.
+    """
+    bounds = list(map(operator.mul, map(abs, log_powers), _WINDOW_POWERS))
+    limit = 2.0**-56 * min(1.0, x) ** 3 / 6.0 / _CUT_MARGIN
+    return bisect_left(
+        range(TABLE_ORDER), True,
+        key=lambda n: sum(map(operator.mul, bounds, _CUT_WEIGHTS[TABLE_ORDER - n:])) < limit)
+
+
+def _cut_series_coeffs(x: float) -> tuple[tuple[float, ...], float]:
+    """(c_0(x) .. c_N(x), c_110(x)) for the N of ``_head_cut``.
+
+    The head's truncation estimate reads c_110(x), so it is built too.
+    """
+    log_powers = _log_powers(x)
+    *coeffs, last = _shifted(log_powers, (*range(_head_cut(x, log_powers) + 1), TABLE_ORDER))
+    return tuple(coeffs), last

@@ -13,9 +13,8 @@ mu(x, beta, alpha) = integral_0^inf x^(alpha+t) t^beta /
 
 E has two independent evaluations: the power series
 E(x, z) = sum_{n>=1} c_{n-1}(x) z^n / n built from the shifted
-reciprocal-gamma coefficients c_0(x) .. c_110(x) of
-``recip_gamma.weighted_series_coeffs`` (recentred on unit subintervals
-past the series window z = 3), and adaptive quadrature of the integrand.
+reciprocal-gamma coefficients c_n(x) (recentred on unit subintervals past
+the series window z = 3), and adaptive quadrature of the integrand.
 Both stop at nu's certified cutoff, so E(x, z > cutoff) is nu(x) = E(x, inf);
 mu adds its own Stirling-type tail bound on top of the quadrature.
 
@@ -33,12 +32,23 @@ are shared by all of them; from one subinterval to the next only x^t0
 changes and each node's denominator gains the factor (u+t0).  Only a final
 partial subinterval evaluates the series at nodes of its own.
 
-One per-x cache, ``_series_state``, holds the coefficients, the head sum
-over the whole window, the full-node series values and the running sum
-after each full segment, so a z-sweep at fixed x pays for each once and a
-call adds only its own partial segment; ``E_deriv_z`` reads its
-coefficients there too.  The full-node denominators depend on neither x
-nor z, so the ``lru_cache`` of ``_full_denoms`` holds them for every x.
+Cut order: the series runs over c_0(x) .. c_N(x) only, where N(x) is the
+certified cut of ``recip_gamma._head_cut`` (below TABLE_ORDER = 110 for x
+in [0.0037, 1200], 110 elsewhere).  Every head term past N is below a
+quarter ulp of the head sum, so the head keeps the bits of the full table
+c_0(x) .. c_110(x); its truncation estimate still reads c_110(x).  The
+node series (Horner's rule at u in [0, 1]) run over the same N + 1
+coefficients.  That they keep the full table's bits too is measured, not
+proven: 0 differences in over 100k seeded E_series and rho calls.
+``E_deriv_z`` multiplies its terms by rising factors that the head bound
+does not cover, so it reads the full table.
+
+One per-x cache, ``_series_state``, holds the cut coefficients, the head
+sum over the whole window, the full-node series values and the running
+sum after each full segment, so a z-sweep at fixed x pays for each once
+and a call adds only its own partial segment.  The full-node denominators
+depend on neither x nor z, so the ``lru_cache`` of ``_full_denoms`` holds
+them for every x.
 Memory: per cached x (64 at most) one running entry per full segment a
 call reached, at most cutoff - 3; one denominator row per t0 <= cutoff
 (< 746) any call reached.  Each field and row is assigned whole and equal
@@ -55,7 +65,8 @@ from operator import add, mul, truediv
 from .core import LOG_SCALED_FROM, MACHINE_EPS, ConvergenceError, LogScaled, SeriesEval
 from .core import reduced_argument
 from .quadrature import _LEGENDRE_RULES, QuadratureError, QuadratureRequest, integrate_adaptive
-from .recip_gamma import SERIES_WINDOW, _horner, weighted_series_coeffs
+from .recip_gamma import SERIES_WINDOW, TABLE_ORDER, _cut_series_coeffs, _horner
+from .recip_gamma import weighted_series_coeffs
 
 __all__ = [
     "E_series",
@@ -84,14 +95,15 @@ def _full_denoms(t0: int) -> tuple[float, ...]:
     return tuple(map(mul, _full_denoms(t0 - 1), map(add, _FULL_U, repeat(t0))))
 
 
-def _head(coeffs: tuple[float, ...], head: float) -> tuple[float, float, float]:
-    """sum_n coeffs[n] head^(n+1) / (n+1), its truncation bound and its round-off floor."""
+def _head(coeffs: tuple[float, ...], last: float, head: float) -> tuple[float, float, float]:
+    """sum_n coeffs[n] head^(n+1) / (n+1), its truncation bound from last = c_110(x)
+    and its round-off floor."""
     terms = list(map(truediv, map(mul, coeffs, accumulate(repeat(head, len(coeffs)), mul)),
                      range(1, len(coeffs) + 1)))
     # reduce, not sum(): from Python 3.12 on sum() compensates float sums, moving E's bits
     total = reduce(add, terms, 0.0)
     peak = max(0.0, *map(abs, terms))
-    trunc = abs(coeffs[-1]) * head ** len(coeffs) * 2.0
+    trunc = abs(last) * head ** (TABLE_ORDER + 1) * 2.0
     return total, trunc, MACHINE_EPS * peak * 8.0
 
 
@@ -111,11 +123,12 @@ _SERIES_STATE_CACHE_SIZE = 64
 class _SeriesState:
     """E_series's z-independent work at one x, shared by every z.
 
-    The coefficients; once a call passes the window, the head's truncation
-    bound over the whole window (``_head``) and ``running``, the (total,
-    floor) after 0, 1, 2, ... full segments t0 = 3, 4, ..., begun from the
-    window head; and the weight * series value at each full-segment node,
-    which extends ``running``.  A call extends a copy of ``running`` by the
+    The cut coefficients c_0(x) .. c_N(x) and ``last`` = c_110(x); once a
+    call passes the window, the head's truncation bound over the whole
+    window (``_head``) and ``running``, the (total, floor) after 0, 1, 2,
+    ... full segments t0 = 3, 4, ..., begun from the window head; and the
+    weight * series value at each full-segment node, which extends
+    ``running``.  A call extends a copy of ``running`` by the
     segments no call at x has reached, assigns it whole and reads the entry
     at its own count; a concurrent call may assign an equal shorter prefix
     after it, which costs work, not bits.  The sums are added in segment
@@ -123,11 +136,12 @@ class _SeriesState:
     the segments would give; tol only moves the cutoff, which caps the count.
     """
 
-    __slots__ = ("x", "coeffs", "window_trunc", "running", "full_products")
+    __slots__ = ("x", "coeffs", "last", "window_trunc", "running", "full_products")
 
-    def __init__(self, x: float, coeffs: tuple[float, ...]):
+    def __init__(self, x: float, coeffs: tuple[float, ...], last: float):
         self.x = x
         self.coeffs = coeffs
+        self.last = last
         self.window_trunc = None
         self.running = None
         self.full_products = None
@@ -137,7 +151,7 @@ class _SeriesState:
         window and ``count`` full segments."""
         running = self.running
         if running is None:
-            total, self.window_trunc, floor = _head(self.coeffs, SERIES_WINDOW)
+            total, self.window_trunc, floor = _head(self.coeffs, self.last, SERIES_WINDOW)
             running = self.running = ((total, floor),)  # after window_trunc, which it implies
         if count >= len(running):
             if self.full_products is None:
@@ -159,11 +173,14 @@ class _SeriesState:
 @lru_cache(maxsize=_SERIES_STATE_CACHE_SIZE)
 def _series_state(x: float) -> _SeriesState:
     """The state of x; the package's one per-x cache."""
-    return _SeriesState(x, weighted_series_coeffs(x))
+    return _SeriesState(x, *_cut_series_coeffs(x))
 
 
 def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
-    """E(x, z) by the coefficient series sum_{n=1}^{111} c_{n-1}(x) z^n / n.
+    """E(x, z) by the coefficient series sum_{n=1}^{N+1} c_{n-1}(x) z^n / n.
+
+    N = N(x) <= 110 is x's certified cut order (see the module docstring):
+    the terms past it cannot move a bit of the sum over the whole table.
 
     Single-centre for z <= 3 (``SERIES_WINDOW``); past that, unit
     subintervals [t0, t0+1] are integrated with the recentred representation
@@ -174,10 +191,10 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     adds only its final partial subinterval, which evaluates its own nodes.
     A z past ``nu_cutoff(x, tol)``, +inf included, stops at the cutoff and
     adds its bound e^-cutoff on the rest to the tail (for x above ~28, x^t0
-    overflows first: OverflowError).  ``terms_used`` adds the terms of every
-    node series the representation evaluates to the head terms, cached or
-    not.  Agrees with E_quadrature to ~1e-13 relative over the tested
-    domain (x <= 50, z <= 30).
+    overflows first: OverflowError).  ``terms_used`` counts the coefficients
+    evaluated, N + 1 per series: the head's, and those of every node series
+    the representation evaluates, cached or not.  Agrees with E_quadrature
+    to ~1e-13 relative over the tested domain (x <= 50, z <= 30).
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"E_series requires a finite x > 0, got {x}")
@@ -192,7 +209,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     coeffs = state.coeffs
     terms = len(coeffs)
     if z <= SERIES_WINDOW:
-        total, trunc, floor = _head(coeffs, z)
+        total, trunc, floor = _head(coeffs, state.last, z)
     else:
         # full segments [t0, t0+1] for t0 = 3 .. int(z) - 1; z is at most
         # the cutoff here, and z - t0 is exact for every integer t0 <= z
@@ -381,7 +398,8 @@ def E_deriv_z(x: float, z: float, k: int = 1) -> float:
     """k-th z-derivative of E by the termwise-differentiated series.
 
     d^k E / dz^k = sum_n (n+1)^(rising k-1) c_{n+k-1}(x) z^n over the
-    shifted coefficients c_0(x) .. c_110(x); at k = 1 this is the integrand
+    whole shifted table c_0(x) .. c_110(x), built on each call (the rising
+    factors lie outside the cut order's bound); at k = 1 this is the integrand
     x^z / Gamma(z+1).  Restricted to the series window z <= 3 and k in
     {1, 2, 3}.
     """
@@ -391,7 +409,7 @@ def E_deriv_z(x: float, z: float, k: int = 1) -> float:
         raise ValueError(f"E_deriv_z requires z in [0, {SERIES_WINDOW}], got {z}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    coeffs = _series_state(x).coeffs
+    coeffs = weighted_series_coeffs(x)
     total = 0.0
     power = 1.0
     for n in range(len(coeffs) - k + 1):

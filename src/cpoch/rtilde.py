@@ -96,13 +96,19 @@ class RTildeTriangle:
     S_rows: tuple[tuple[Fraction, ...], ...]
 
     def r(self, n: int, k: int) -> Fraction:
-        return self.r_rows[n][k] if 0 <= k <= n else Fraction(0)
+        return self._entry(self.r_rows, n, k)
 
     def s(self, n: int, k: int) -> Fraction:
-        return self.s_rows[n][k] if 0 <= k <= n else Fraction(0)
+        return self._entry(self.s_rows, n, k)
 
     def S(self, n: int, k: int) -> Fraction:
-        return self.S_rows[n][k] if 0 <= k <= n else Fraction(0)
+        return self._entry(self.S_rows, n, k)
+
+    def _entry(self, rows: tuple[tuple[Fraction, ...], ...], n: int, k: int) -> Fraction:
+        """Entry (n, k) of rows; zero outside the triangle, as ``StirlingTriangle.value``."""
+        if n < 0 or n > self.max_n:
+            raise IndexError(f"n={n} outside triangle of max_n={self.max_n}")
+        return rows[n][k] if 0 <= k <= n else Fraction(0)
 
 
 def _groupoid_prefix(k: int, m: int,

@@ -1,12 +1,19 @@
 import hashlib
 import math
+import random
 import sys
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 
 import pytest
 
 from cpoch.core import EULER_GAMMA, zeta
 from cpoch.recip_gamma import (
     TABLE_ORDER,
+    _cut_series_coeffs,
+    _head_cut,
+    _log_powers,
     c_composition_oracle,
     c_table,
     recip_gamma_series,
@@ -125,19 +132,19 @@ class TestWeightedCache:
     def test_z_sweep_builds_coefficients_once(self, monkeypatch):
         # the module, not the function cpoch.rho that the package exports
         rho_module = sys.modules["cpoch.rho"]
-        builds = []
+        state_class, builds = rho_module._SeriesState, []
 
-        def counting(x):
+        def counting(x, *coeffs):
             builds.append(x)
-            return weighted_series_coeffs(x)
+            return state_class(x, *coeffs)
 
-        monkeypatch.setattr(rho_module, "weighted_series_coeffs", counting)
+        monkeypatch.setattr(rho_module, "_SeriesState", counting)
         _series_state.cache_clear()
         for k in range(16):
             E_series(3.7, 0.4 + 1.9 * k)
-        E_deriv_z(3.7, 1.5)
+        E_deriv_z(3.7, 1.5)  # reads the full table, not the state
         assert builds == [3.7]
-        assert _series_state.cache_info()[:2] == (16, 1)  # hits, misses
+        assert _series_state.cache_info()[:2] == (15, 1)  # hits, misses
 
     def test_each_full_segment_once_per_x(self, monkeypatch):
         # after E_series(x, 30), a call at any z <= 30 adds no running entry
@@ -191,6 +198,41 @@ class TestWeightedCache:
             for x in (0.0, -1.0):
                 with pytest.raises(ValueError):
                     weighted_series_coeffs(x)
+
+
+class TestCutOrder:
+    """The state's cut order N(x) drops only head terms that cannot move a bit."""
+
+    def test_dropped_head_terms_are_absorbed(self):
+        # against the full table: the head sum adds its terms in order, and
+        # each term past the cut is below a quarter ulp of the sum at the cut.
+        # Seeded log-uniform x in [1e-3, 1e3], x = 1 and its neighbours, and
+        # x = 1e-3, where no order certifies and the cut is the whole table
+        rng = random.Random(2206)
+        xs = [math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) for _ in range(150)]
+        xs += [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-3]
+        cuts = []
+        for x in xs:
+            cut = _head_cut(x, _log_powers(x))
+            full = weighted_series_coeffs(x)
+            for head in (0.5, 1.7, 2.9, 3.0):
+                powers = accumulate(repeat(head, len(full)), mul)
+                terms = list(map(truediv, map(mul, full, powers), range(1, len(full) + 1)))
+                total = reduce(add, terms[:cut + 1], 0.0)
+                assert all(abs(t) < math.ulp(total) / 4 for t in terms[cut + 1:]), (x, head, cut)
+            cuts.append(cut)
+        assert cuts[-1] == TABLE_ORDER
+        # the bound cuts every x in [0.0037, 1200]
+        assert all(cut < TABLE_ORDER for x, cut in zip(xs, cuts) if 0.0037 <= x <= 1200.0)
+        assert cuts[-4:-1] == [cuts[-4]] * 3  # x = 1 +- 1e-12 cut as x = 1
+
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 1.0, 2.0, 500.0])
+    def test_state_holds_a_prefix_of_the_full_table(self, x):
+        # c_0(x) .. c_N(x) and c_110(x), each with the full table's bits
+        full = weighted_series_coeffs(x)
+        coeffs, last = _cut_series_coeffs(x)
+        assert coeffs == full[:len(coeffs)] and last == full[-1]
+        assert len(coeffs) == _head_cut(x, _log_powers(x)) + 1
 
 
 class TestOneTable:

@@ -29,34 +29,36 @@ E_GAMMA = math.exp(EULER_GAMMA)
 # Exact outputs of E_series (value, terms, tail, converged) and of rho, as
 # float.hex: z <= 3, integer z past 3 (only full unit segments) and
 # non-integer z (a final partial segment), at x = 1 and on both sides of it.
+# terms is N + 1 coefficients of x's cut order N per series evaluated: the
+# head, then 24 full nodes once a full segment runs and 24 partial nodes.
 E_SERIES_PINNED = [
-    (0.3, 1.7, "0x1.80e7c019a8814p-1", 111, "0x1.d3caa70029224p-49", True),
-    (2.0, 3.0, "0x1.55a924232272bp+2", 111, "0x1.87fba95e40c3ap-47", True),
-    (1.0, 2.5, "0x1.046a669f7ef3cp+1", 111, "0x1.b54086325f5c1p-48", True),
-    (120.0, 3.4, "0x1.42c1e5d7dcf81p+18", 2775, "0x1.ff6303446cf5dp-32", True),
-    (7.5, 4.0, "0x1.4de2b1140c469p+7", 2775, "0x1.f28cc0b6d2a39p-43", True),
-    (0.05, 12.0, "0x1.6c5823c422bc4p-2", 2775, "0x1.722e7ad10b34dp-39", True),
-    (1.0, 10.0, "0x1.221dcc8942622p+1", 2775, "0x1.e6c47a058a922p-46", True),
-    (500.0, 25.0, "0x1.d83df2022b63fp+138", 2775, "0x1.d83df2022b63fp+89", True),
-    (2.0, 30.0, "0x1.bfd8583a9dc81p+2", 2775, "0x1.16455baeb7831p-44", True),
-    (0.2, 5.25, "0x1.4142688a7f17ap-1", 5439, "0x1.4b3fd6e96f99dp-43", True),
-    (1.0, 17.3, "0x1.221dcd80e9c43p+1", 5439, "0x1.73623d21ba356p-45", True),
-    (50.0, 8.75, "0x1.e27ac6c1a77f2p+30", 5439, "0x1.e27a64fc667f8p-19", True),
-    (0.01, 20.6, "0x1.da9ae6e420779p-3", 5439, "0x1.01ac9f72919bap-33", False),
-    (2.0, 29.5, "0x1.bfd8583a9dc81p+2", 5439, "0x1.16455baeb7831p-44", True),
+    (0.3, 1.7, "0x1.80e7c019a8814p-1", 63, "0x1.d3caa70029224p-49", True),
+    (2.0, 3.0, "0x1.55a924232272bp+2", 56, "0x1.87fba95e40c3ap-47", True),
+    (1.0, 2.5, "0x1.046a669f7ef3cp+1", 50, "0x1.b54086325f5c1p-48", True),
+    (120.0, 3.4, "0x1.42c1e5d7dcf81p+18", 2275, "0x1.ff6303446cf5dp-32", True),
+    (7.5, 4.0, "0x1.4de2b1140c469p+7", 1675, "0x1.f28cc0b6d2a39p-43", True),
+    (0.05, 12.0, "0x1.6c5823c422bc4p-2", 2050, "0x1.722e7ad10b34dp-39", True),
+    (1.0, 10.0, "0x1.221dcc8942622p+1", 1250, "0x1.e6c47a058a922p-46", True),
+    (500.0, 25.0, "0x1.d83df2022b63fp+138", 2575, "0x1.d83df2022b63fp+89", True),
+    (2.0, 30.0, "0x1.bfd8583a9dc81p+2", 1400, "0x1.16455baeb7831p-44", True),
+    (0.2, 5.25, "0x1.4142688a7f17ap-1", 3283, "0x1.4b3fd6e96f99dp-43", True),
+    (1.0, 17.3, "0x1.221dcd80e9c43p+1", 2450, "0x1.73623d21ba356p-45", True),
+    (50.0, 8.75, "0x1.e27ac6c1a77f2p+30", 4116, "0x1.e27a64fc667f8p-19", True),
+    (0.01, 20.6, "0x1.da9ae6e420779p-3", 4900, "0x1.01ac9f72919bap-33", False),
+    (2.0, 29.5, "0x1.bfd8583a9dc81p+2", 2744, "0x1.16455baeb7831p-44", True),
 ]
-# Test ids keep the terms figure of the per-segment count E_series used to
-# report (111 head terms plus 24 x 111 for each unit segment past z = 3), so
-# each point keeps the id it had before terms_used followed the work done.
+# Test ids keep the terms figure of the per-segment count E_series first
+# reported (111 head terms plus 24 x 111 for each unit segment past z = 3),
+# so each point keeps its id while terms_used follows the work done.
 E_SERIES_PINNED_IDS = [
     "-".join(map(str, (x, z, value, 111 + 2664 * max(0, math.ceil(z - 3)), tail, converged)))
     for x, z, value, _, tail, converged in E_SERIES_PINNED
 ]
-# sha256 of E_series's fields over this grid.  Every z lies before nu's
-# cutoff (>= 30), where the cutoff rule moves no bit.
+# sha256 of E_series's (value, tail, converged) over this grid.  Every z
+# lies before nu's cutoff (>= 30), where the cutoff rule moves no bit.
 E_SERIES_GRID_X = (1e-3, 0.0033, 0.011, 0.036, 0.12, 0.39, 1.28, 4.2, 14.0, 46.0, 150.0, 500.0)
 E_SERIES_GRID_Z = (0.4, 1.7, 2.9, 3.0, 3.2, 4.0, 5.5, 9.0, 14.25, 20.0, 27.7, 30.0)
-E_SERIES_GRID_SHA256 = "c06f8eb453719d6766d2c91f29f9ec3bcd405ac7f111a3cda3dc8f4e9299ab25"
+E_SERIES_GRID_SHA256 = "ea032edc3a4ca755e8576f577319cd5d4201d627330bcc81e7c761bd676bca8e"
 RHO_PINNED = [
     (1.0, 1.0, 2.0, "0x1.90dcccb6c92a1p-1"),
     (2.0, 0.5, 4.5, "0x1.5e80f0635dbfbp+6"),
@@ -81,6 +83,11 @@ def _per_x_caches(state: str, x: float, z: float) -> None:
 
 def _fields(result):
     return (result.value.hex(), result.terms_used, result.tail_estimate.hex(), result.converged)
+
+
+def _bits(result):
+    """E_series's fields apart from terms_used, which follows the cut order."""
+    return (result.value.hex(), result.tail_estimate.hex(), result.converged)
 
 
 def _outcome(x, z, tol):
@@ -119,7 +126,7 @@ class TestESeries:
         digest = hashlib.sha256()
         for x in E_SERIES_GRID_X:
             for z in E_SERIES_GRID_Z:
-                digest.update(repr(_fields(E_series(x, z))).encode())
+                digest.update(repr(_bits(E_series(x, z))).encode())
         assert digest.hexdigest() == E_SERIES_GRID_SHA256
 
     def test_domain(self):
@@ -237,6 +244,49 @@ class TestESeries:
         with pytest.raises(ValueError, match="rho requires a finite z >= 1, got nan"):
             rho(1.0, 1.0, math.nan)
         assert _series_state.cache_info().currsize == 0
+
+
+class TestCutOrder:
+    """The per-x state evaluates c_0(x) .. c_N(x) only, with the full table's bits."""
+
+    @staticmethod
+    def _outcomes():
+        """Seeded E_series (value, tail, converged), cold and warm, and rho
+        values, or the name of the error raised."""
+        def attempt(f, *args):
+            try:
+                return f(*args)
+            except (ConvergenceError, OverflowError) as exc:
+                return type(exc).__name__
+
+        rng = random.Random(2207)
+        got = []
+        for i in range(120):
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            z = (float(rng.randint(1, 30)), rng.uniform(0.0, 30.0), math.inf)[i % 3]
+            _series_state.cache_clear()
+            got.append(attempt(lambda: _bits(E_series(x, z))))
+            attempt(E_series, x, 30.0 - i % 7)  # warm: another z fills the state
+            got.append(attempt(lambda: _bits(E_series(x, z))))
+        _series_state.cache_clear()
+        for _ in range(120):
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+            y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+            got.append(attempt(lambda: repr(rho(x, y, rng.uniform(1.0, 40.0)))))
+        return got
+
+    def test_cut_keeps_the_full_tables_bits(self, monkeypatch):
+        # with the cut at TABLE_ORDER the state holds the whole table, the
+        # uncut reference; every value, tail and flag and every rho value or
+        # error must match it
+        cut = self._outcomes()
+        recip_gamma = sys.modules["cpoch.recip_gamma"]
+        monkeypatch.setattr(recip_gamma, "_head_cut", lambda x, log_powers: recip_gamma.TABLE_ORDER)
+        try:
+            full = self._outcomes()
+        finally:
+            _series_state.cache_clear()
+        assert cut == full
 
 
 class TestEQuadrature:

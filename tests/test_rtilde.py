@@ -91,6 +91,16 @@ class TestTriangles:
         for n in range(2, 7):
             assert tri.S(n, n - 1) == Fraction((n - 1) ** 2, 2)
 
+    def test_row_outside_the_triangle_is_refused(self):
+        # any n outside 0..max_n is a named IndexError, whatever k; inside
+        # the triangle's rows a k outside 0..n is zero
+        tri = rtilde_triangle(5)
+        for entry in (tri.r, tri.s, tri.S):
+            for n, k in ((6, 1), (6, 7), (-1, 0)):
+                with pytest.raises(IndexError, match=f"n={n} outside triangle of max_n=5"):
+                    entry(n, k)
+        assert tri.S(5, 7) == tri.r(5, -1) == tri.s(0, 1) == 0
+
     def test_exact_inversion_both_orders(self, verify_cases):
         verify_cases.check("analogue1/exact_inversion")
 
