@@ -21,19 +21,23 @@ destroys every evaluation near the edge of the window.  The 140-digit
 recursion itself lives in ``cpoch.verify``, as the oracle that the
 literals must match bit for bit.
 
-``rho``'s per-x series state does not build the whole shifted table.  Its
-head sums sum_k c_k(x) h^(k+1) / (k+1) over h <= 3 add their terms in
-order, and past a cut order N(x) every term is provably below a quarter
-ulp of the running sum, so rounding absorbs it (``_head_cut``).  The state
-builds c_0(x) .. c_N(x) and c_110(x), which the head's truncation estimate
-reads; N(x) < 110 for x in [0.0037, 1200].
+``rho``'s per-x series state does not build the whole shifted table, and
+its two cut orders live here.  The head's is proven: its sums
+sum_k c_k(x) h^(k+1) / (k+1) over h <= 3 add their terms in order, and past
+a cut order N(x) every term is provably below a quarter ulp of the running
+sum, so rounding absorbs it (``_head_cut``).  The state builds c_0(x) ..
+c_N(x) and c_110(x), which the head's truncation estimate reads; N(x) < 110
+for x in [0.0037, 1200].  The node series' is measured: at u in [0, 1]
+they run over c_0(x) .. c_M(x), M(x) <= N(x), dropping coefficients that
+sum below 2^-80 of every node value (``_node_cut``), which kept Horner's
+bits over 1,000,000 seeded (x, u) pairs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .core import MACHINE_EPS, SeriesEval, zeta_hat
@@ -141,15 +145,19 @@ def recip_gamma_series(t: float) -> SeriesEval:
     """Evaluate sum c_n t^n, i.e. 1/Gamma(t+1), from the coefficient table.
 
     ``converged`` is withheld outside the validated window |t| <= 3 and when
-    the tail or round-off floor exceeds 1e-12 relative to max(1, |value|).
+    the tail or round-off floor exceeds 1e-12 relative to max(1, |value|);
+    the tail is inf once |t|^110 leaves binary64 (|t| above ~633).
     """
     if not -math.inf < t < math.inf:
         raise ValueError(f"recip_gamma_series requires a finite t, got {t}")
     coeffs = _TABLE
     value = _horner(coeffs, t)
     at = abs(t)
-    tail = (abs(coeffs[-1]) * at**TABLE_ORDER * 2.0
-            + MACHINE_EPS * max(abs(c) * at**k for k, c in enumerate(coeffs)))
+    try:
+        tail = (abs(coeffs[-1]) * at**TABLE_ORDER * 2.0
+                + MACHINE_EPS * max(abs(c) * at**k for k, c in enumerate(coeffs)))
+    except OverflowError:
+        tail = math.inf
     converged = at <= SERIES_WINDOW and tail <= 1e-12 * max(1.0, abs(value))
     return SeriesEval(value, len(coeffs), tail, converged)
 
@@ -226,11 +234,41 @@ def _head_cut(x: float, log_powers: list[float]) -> int:
         key=lambda n: sum(map(operator.mul, bounds, _CUT_WEIGHTS[TABLE_ORDER - n:])) < limit)
 
 
-def _cut_series_coeffs(x: float) -> tuple[tuple[float, ...], float]:
-    """(c_0(x) .. c_N(x), c_110(x)) for the N of ``_head_cut``.
+#: Relative size, against min(1, x), below which the node series may drop
+#: their tail.  Measured, not proven: over 1,000,000 seeded (x, u) pairs, x
+#: log-uniform in [0.01, 1000] and u in [0, 1], Horner over c_0(x) .. c_M(x)
+#: differed from Horner over c_0(x) .. c_N(x) at 11,781 pairs with 1e-15 in
+#: its place, 139 with 1e-17, 1 with 1e-19 and none with 2^-80 (M median 36,
+#: max 50, against N median 76).
+_NODE_CUT = 2.0**-80
 
-    The head's truncation estimate reads c_110(x), so it is built too.
+
+def _node_cut(x: float, coeffs: tuple[float, ...]) -> int:
+    """Least M <= N for which the node series keep only c_0(x) .. c_M(x).
+
+    A node series sum_k c_k(x) u^k runs at u in [0, 1], where its value
+    x^u / Gamma(u+1) is at least min(1, x) (Gamma(u+1) <= 1 there), and every
+    dropped term is at most |c_k(x)|.  The terms past the head's N are below
+    B_N = 2^-56 min(1, x^3) / 6 / 3^(N+1), since ``_head_cut`` bounds their
+    3^k-weighted sum by 2^-56 min(1, x^3) / 6 (where no order certifies,
+    N = 110 and B_N is slack past the table).  So M is the least order with
+    sum_{M<k<=N} |c_k(x)| + B_N, times the rounding margin, below
+    ``_NODE_CUT`` min(1, x): one accumulate over the built coefficients.
+    B_N alone is far below that, as N >= N(1) = 49.
+    """
+    beyond = 2.0**-56 * min(1.0, x) ** 3 / 6.0 / SERIES_WINDOW ** len(coeffs)
+    rests = list(accumulate(map(abs, reversed(coeffs)), initial=beyond))  # M = N, N - 1, ...
+    return len(coeffs) - bisect_right(rests, _NODE_CUT * min(1.0, x) / _CUT_MARGIN)
+
+
+def _cut_series_coeffs(x: float) -> tuple[tuple[float, ...], float, int]:
+    """(c_0(x) .. c_N(x), c_110(x), M) for the N of ``_head_cut`` and the M of
+    ``_node_cut``.
+
+    The head reads the whole prefix and its truncation estimate c_110(x), so
+    that is built too; the node series read c_0(x) .. c_M(x).
     """
     log_powers = _log_powers(x)
     *coeffs, last = _shifted(log_powers, (*range(_head_cut(x, log_powers) + 1), TABLE_ORDER))
-    return tuple(coeffs), last
+    coeffs = tuple(coeffs)
+    return coeffs, last, _node_cut(x, coeffs)

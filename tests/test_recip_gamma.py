@@ -11,8 +11,10 @@ import pytest
 from cpoch.core import EULER_GAMMA, zeta
 from cpoch.recip_gamma import (
     TABLE_ORDER,
+    _NODE_CUT,
     _cut_series_coeffs,
     _head_cut,
+    _horner,
     _log_powers,
     c_composition_oracle,
     c_table,
@@ -88,6 +90,12 @@ class TestSeries:
 
     def test_flags_outside_window(self):
         assert not recip_gamma_series(4.5).converged
+
+    @pytest.mark.parametrize("t", [1e3, -1e3, 1e300])
+    def test_tail_past_binary64_is_infinite(self, t):
+        # |t|^110 overflows from |t| ~ 633 on: no OverflowError, an unconverged inf tail
+        got = recip_gamma_series(t)
+        assert got.tail_estimate == math.inf and not got.converged
 
 
 class TestShiftedCoefficients:
@@ -201,7 +209,8 @@ class TestWeightedCache:
 
 
 class TestCutOrder:
-    """The state's cut order N(x) drops only head terms that cannot move a bit."""
+    """The state's head cut order N(x) drops only head terms that cannot move a
+    bit; its node cut order M(x) drops a tail below 2^-80 of every node value."""
 
     def test_dropped_head_terms_are_absorbed(self):
         # against the full table: the head sum adds its terms in order, and
@@ -230,9 +239,33 @@ class TestCutOrder:
     def test_state_holds_a_prefix_of_the_full_table(self, x):
         # c_0(x) .. c_N(x) and c_110(x), each with the full table's bits
         full = weighted_series_coeffs(x)
-        coeffs, last = _cut_series_coeffs(x)
+        coeffs, last, node_order = _cut_series_coeffs(x)
         assert coeffs == full[:len(coeffs)] and last == full[-1]
         assert len(coeffs) == _head_cut(x, _log_powers(x)) + 1
+        assert node_order < len(coeffs)
+
+    def test_node_cut_certificate(self):
+        # the coefficients the node series drop sum below 2^-80 min(1, x),
+        # which is below 2^-80 of x^u / Gamma(u+1) for every u in [0, 1]
+        rng = random.Random(2301)
+        for x in [math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) for _ in range(60)] + [1.0]:
+            node_order = _cut_series_coeffs(x)[2]
+            dropped = math.fsum(map(abs, weighted_series_coeffs(x)[node_order + 1:]))
+            assert dropped <= _NODE_CUT * min(1.0, x), (x, node_order)
+
+    def test_node_series_bits_match_the_head_prefix(self):
+        # measured, not proven: Horner over c_0(x) .. c_M(x) equals Horner
+        # over c_0(x) .. c_N(x) bit for bit at nodes u in [0, 1]
+        rng = random.Random(2302)
+        node_orders = []
+        for _ in range(150):
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            coeffs, _, node_order = _cut_series_coeffs(x)
+            nodes = coeffs[:node_order + 1]
+            for u in [rng.random() for _ in range(40)] + [0.0, 1.0]:
+                assert _horner(nodes, u) == _horner(coeffs, u), (x, u, node_order)
+            node_orders.append(node_order)
+        assert max(node_orders) <= 60  # the cut keeps well under the head's ~80
 
 
 class TestOneTable:
