@@ -248,6 +248,10 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
     gamma_y(2, 3) = 1.2533141373155 instead of 1.2533141373155003 (the
     printed bytes of ``eval gamma-y --x 3 --y 2``) and gamma_y(1, 5) =
     23.999999999999982 instead of 24.
+
+    Where a = x/y leaves binary64 the value is its limit: 1/x where a
+    underflows to 0; where a overflows, ln Gamma_y(x) = a (ln x - 1) +
+    O(ln a), so 0 for x <= e and an OverflowError above it.
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"gamma_y requires a finite y > 0, got {y}")
@@ -255,9 +259,18 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
         raise ValueError(f"gamma_y requires a finite x > 0, got {x}")
     a = x / y
     exponent = a - 1.0
-    log_value = exponent * math.log(y) + math.lgamma(a)
+    try:
+        log_value = exponent * math.log(y) + math.lgamma(a)
+    except ValueError:  # a underflows to 0: Gamma_y(x) = (1 + O(a ln y)) / x
+        log_value = -math.log(x)
+        return LogScaled(1, log_value) if log_value > LOG_SCALED_FROM else 1.0 / x
     if (log_value > LOG_SCALED_FROM or abs(exponent * math.log(y)) > 690.0
             or not GAMMA_TINY_Z < a < GAMMA_OVERFLOW_Z):
+        if a == math.inf:  # ln Gamma_y(x) = a (ln x - 1) + O(ln a), and float e < e
+            if x <= math.e:
+                return 0.0
+            raise OverflowError(f"gamma_y overflows: a = x/y leaves binary64 at (y={y}, x={x}), "
+                                f"where ln Gamma_y(x) ~ (x/y)(ln x - 1) > 0")
         return exp_or_log_scaled(log_value)
     return y**exponent * math.gamma(a)
 
@@ -277,7 +290,8 @@ def pochhammer_continuous(x: float, y: float, z: float) -> float | LogScaled:
 
     The first term left out is below 1/360a^3 (2.8e-15 at a = 1e4).  z ln x
     stays finite where a overflows; t = 0 there (and at z = 0), where the
-    second term is 0.
+    second term is 0.  Where a underflows to 0 the ratio is its limit
+    a Gamma(z): the value x y^(z-1) Gamma(z), and 1 at z = 0.
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"pochhammer_continuous requires a finite x > 0, got {x}")
@@ -287,7 +301,13 @@ def pochhammer_continuous(x: float, y: float, z: float) -> float | LogScaled:
         raise ValueError(f"pochhammer_continuous requires a finite z >= 0, got {z}")
     a = x / y
     if a <= _STIRLING_FROM_A:
-        return exp_or_log_scaled(z * math.log(y) + math.lgamma(a + z) - math.lgamma(a))
+        try:
+            log_gamma_a = math.lgamma(a)
+        except ValueError:  # a underflows to 0, where Gamma(a+z)/Gamma(a) -> a Gamma(z)
+            if not z:
+                return 1.0
+            return exp_or_log_scaled(math.log(x) + (z - 1.0) * math.log(y) + math.lgamma(z))
+        return exp_or_log_scaled(z * math.log(y) + math.lgamma(a + z) - log_gamma_a)
     t = z / a
     log1p_t = math.log1p(t)
     return exp_or_log_scaled(z * math.log(x) + z * (log1p_t / t - 1.0 if t else 0.0)

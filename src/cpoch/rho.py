@@ -30,7 +30,9 @@ that must cancel to reach tiny targets.)  Every full subinterval is
 integrated at the same Gauss-Legendre nodes u, so the node series values
 are shared by all of them; from one subinterval to the next only x^t0
 changes and each node's denominator gains the factor (u+t0).  Only a final
-partial subinterval evaluates the series at nodes of its own.
+partial subinterval evaluates the series at nodes of its own, and forms
+its denominators afresh.  Both kinds of subinterval go through one node
+rule (``_node_products``) and one segment sum (``_add_segment``).
 
 Cut orders: two, both chosen in ``recip_gamma``.  The head runs over
 c_0(x) .. c_N(x) only, where N(x) is the proven cut of
@@ -47,16 +49,18 @@ series, and 0 in over 100k seeded E_series and rho calls.
 ``E_deriv_z`` multiplies its terms by rising factors that the head bound
 does not cover, so it reads the full table.
 
-One per-x cache, ``_series_state``, holds the cut coefficients, the head
-sum over the whole window, the full-node series values and the running
-sum after each full segment, so a z-sweep at fixed x pays for each once
-and a call adds only its own partial segment.  The full-node denominators
-depend on neither x nor z, so the ``lru_cache`` of ``_full_denoms`` holds
-them for every x.
-Memory: per cached x (64 at most) one running entry per full segment a
-call reached, at most cutoff - 3; one denominator row per t0 <= cutoff
-(< 746) any call reached.  Each field and row is assigned whole and equal
-whoever builds it, so concurrent callers need no lock.
+One per-x cache, ``_series_state``, holds E at x: a ``_SeriesState``
+built whole with the cut coefficients, the head sum over the whole window
+and the full-node series values, and grown by the running sum after each
+full segment, so a z-sweep at fixed x pays for each once and a call adds
+only its own partial segment.  The full-node denominators depend on
+neither x nor z, so the ``lru_cache`` of ``_full_denoms`` holds them for
+every x.
+Memory: per cached x (64 at most) the fixed fields and one running entry
+per full segment a call reached, at most cutoff - 3; one denominator row
+per t0 <= cutoff (< 746) any call reached.  The one growing field and
+each row are assigned whole and equal whoever builds them, so concurrent
+callers need no lock.
 """
 
 from __future__ import annotations
@@ -111,6 +115,11 @@ def _head(coeffs: tuple[float, ...], last: float, head: float) -> tuple[float, f
     return total, trunc, MACHINE_EPS * peak * 8.0
 
 
+def _node_products(nodes: tuple[float, ...], us) -> tuple[float, ...]:
+    """weight * series value at a segment's Gauss-Legendre nodes u."""
+    return tuple(map(mul, _WEIGHTS, [_horner(nodes, u) for u in us]))
+
+
 def _add_segment(total: float, floor: float, x: float, t0: int, products, denoms,
                  half: float) -> tuple[float, float]:
     """(total, floor) after adding the segment [t0, t0 + 2 half] of E at x:
@@ -125,55 +134,64 @@ _SERIES_STATE_CACHE_SIZE = 64
 
 
 class _SeriesState:
-    """E_series's z-independent work at one x, shared by every z.
+    """E at one x, summed from 0 to any z up to the cutoff.
 
-    The cut coefficients c_0(x) .. c_N(x) of the head, ``last`` = c_110(x)
-    and ``nodes`` = c_0(x) .. c_M(x) of the node series; once a call passes
-    the window, the head's truncation bound over the whole
-    window (``_head``) and ``running``, the (total, floor) after 0, 1, 2,
-    ... full segments t0 = 3, 4, ..., begun from the window head; and the
-    weight * series value at each full-segment node, which extends
-    ``running``.  A call extends a copy of ``running`` by the
-    segments no call at x has reached, assigns it whole and reads the entry
-    at its own count; a concurrent call may assign an equal shorter prefix
-    after it, which costs work, not bits.  The sums are added in segment
-    order whatever z asks, so every z reads the floats its own loop over
-    the segments would give; tol only moves the cutoff, which caps the count.
+    Built whole: the cut coefficients c_0(x) .. c_N(x) of the head,
+    ``last`` = c_110(x), ``nodes`` = c_0(x) .. c_M(x) of the node series,
+    the head's truncation bound over the whole window, the weight * series
+    value at each full-segment node, and ``running``, the (total, floor)
+    after 0, 1, 2, ... full segments t0 = 3, 4, ..., begun from the window
+    head.  Only ``running`` changes after construction: a call extends a
+    copy of it by the segments no call at x has reached, assigns it whole
+    and reads the entry at its own count; a concurrent call may assign an
+    equal shorter prefix after it, which costs work, not bits.  The sums
+    are added in segment order whatever z asks, so every z reads the floats
+    its own loop over the segments would give; tol only moves the cutoff,
+    which caps the count.
     """
 
-    __slots__ = ("x", "coeffs", "last", "nodes", "window_trunc", "running", "full_products")
+    __slots__ = ("x", "coeffs", "last", "nodes", "window_trunc", "full_products", "running")
 
     def __init__(self, x: float, coeffs: tuple[float, ...], last: float, node_order: int):
         self.x = x
         self.coeffs = coeffs
         self.last = last
         self.nodes = coeffs[:node_order + 1]
-        self.window_trunc = None
-        self.running = None
-        self.full_products = None
+        total, self.window_trunc, floor = _head(coeffs, last, SERIES_WINDOW)
+        self.full_products = _node_products(self.nodes, _FULL_U)
+        self.running = ((total, floor),)
 
-    def after_full_segments(self, count: int) -> tuple[float, float, float]:
-        """(total, trunc, floor) of E from 0 to 3 + count: the head over the
-        window and ``count`` full segments."""
+    def integral(self, z: float) -> tuple[float, float, float, int]:
+        """(total, trunc, floor, terms_used) of E from 0 to z, z at most the
+        cutoff: the head for z <= 3, else the full segments [t0, t0+1] for
+        t0 = 3 .. int(z) - 1 and a final partial segment."""
+        terms = len(self.coeffs)
+        if z <= SERIES_WINDOW:
+            return *_head(self.coeffs, self.last, z), terms
+        full = int(z) - 3  # z - t0 is exact for every integer t0 <= z
         running = self.running
-        if running is None:
-            total, self.window_trunc, floor = _head(self.coeffs, self.last, SERIES_WINDOW)
-            running = self.running = ((total, floor),)  # after window_trunc, which it implies
-        if count >= len(running):
-            if self.full_products is None:
-                self.full_products = tuple(
-                    map(mul, _WEIGHTS, [_horner(self.nodes, u) for u in _FULL_U]))
+        if full >= len(running):
             grown = list(running)
             total, floor = grown[-1]
             try:
-                for t0 in range(len(grown) + 2, count + 3):
+                for t0 in range(len(grown) + 2, full + 3):
                     total, floor = _add_segment(total, floor, self.x, t0, self.full_products,
                                                 _full_denoms(t0), 0.5)
                     grown.append((total, floor))
             finally:  # keeps the segments before an OverflowError of x^t0
                 self.running = running = tuple(grown)
-        total, floor = running[count]
-        return total, self.window_trunc, floor
+        total, floor = running[full]
+        node_series = bool(full)  # the full nodes' series, then the partial nodes'
+        t0 = 3 + full
+        if t0 < z:  # a final partial segment
+            half = 0.5 * (z - t0)
+            part_u = [half * shift for shift in _NODE_SHIFTS]
+            denoms = [math.prod(map(add, repeat(u, t0), range(1, t0 + 1))) for u in part_u]
+            total, floor = _add_segment(total, floor, self.x, t0,
+                                        _node_products(self.nodes, part_u), denoms, half)
+            node_series += 1
+        terms += node_series * _SEGMENT_RULE_NODES * len(self.nodes)
+        return total, self.window_trunc, floor, terms
 
 
 @lru_cache(maxsize=_SERIES_STATE_CACHE_SIZE)
@@ -194,9 +212,10 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     subintervals [t0, t0+1] are integrated with the recentred representation
     x^t0 series(u) / ((u+1)...(u+t0)), whose series argument u stays in
     [0, 1].  The running sum after each full subinterval is cached per x,
-    with the coefficients and the head sum over the whole window, and the
-    full-node denominators are shared by every x; so a call at a cached x
-    adds only its final partial subinterval, which evaluates its own nodes.
+    with the coefficients, the head sum over the whole window and the
+    full-node values, and the full-node denominators are shared by every x;
+    so a call at a cached x adds only its final partial subinterval, which
+    evaluates its own nodes.
     A z past ``nu_cutoff(x, tol)``, +inf included, stops at the cutoff and
     adds its bound e^-cutoff on the rest to the tail (for x above ~28, x^t0
     overflows first: OverflowError).  ``terms_used`` counts the coefficients
@@ -213,26 +232,7 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
     if z == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
     z, _, rest = _cut_at_nu(x, z, tol)
-    state = _series_state(x)
-    terms = len(state.coeffs)
-    if z <= SERIES_WINDOW:
-        total, trunc, floor = _head(state.coeffs, state.last, z)
-    else:
-        # full segments [t0, t0+1] for t0 = 3 .. int(z) - 1; z is at most
-        # the cutoff here, and z - t0 is exact for every integer t0 <= z
-        full = int(z) - 3
-        total, trunc, floor = state.after_full_segments(full)
-        nodes = state.nodes
-        if full:
-            terms += _SEGMENT_RULE_NODES * len(nodes)
-        t0 = 3 + full
-        if t0 < z:  # a final partial segment
-            half = 0.5 * (z - t0)
-            part_u = [half * shift for shift in _NODE_SHIFTS]
-            products = map(mul, _WEIGHTS, [_horner(nodes, u) for u in part_u])
-            denoms = [math.prod(map(add, repeat(u, t0), range(1, t0 + 1))) for u in part_u]
-            total, floor = _add_segment(total, floor, x, t0, products, denoms, half)
-            terms += _SEGMENT_RULE_NODES * len(nodes)
+    total, trunc, floor, terms = _series_state(x).integral(z)
     tail = trunc + floor + rest
     converged = tail <= tol * max(1.0, abs(total))
     return SeriesEval(total, terms, tail, converged)
@@ -254,8 +254,6 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
         raise ValueError(f"E_quadrature requires z >= 0, got {z}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"E_quadrature requires a finite tol > 0, got {tol}")
-    if z == 0.0:
-        return 0.0
     z, tol, _ = _cut_at_nu(x, z, tol)
     log_x = math.log(x)
 

@@ -65,6 +65,8 @@ MOBIUS_ORACLE_MAX_N = 12
 RTILDE_POLY_MAX_N = 1000
 
 _MAX_TERMS = 4000
+#: The series forms' refusal where w or x^z is out of their reach.
+_REFUSED = SeriesEval(math.nan, 0, math.inf, False)
 SERIES_FORMS_TOL = 1e-9  # relative; behind the converged flag of both series forms
 
 #: Orders n whose coefficient rows rtilde_poly keeps; every order of the
@@ -383,15 +385,19 @@ def rtilde_series_lower(x: float, y: float, z: float) -> SeriesEval:
     x^z e^w (1 - w^z/Gamma(z) * sum_k (-w)^k / ((z+k) k!)), with w as in
     rtilde_ext.  The alternating sum cancels heavily for large w, so the
     converged flag accounts for the round-off floor as well as truncation.
+    Past w = 200, or where x^z leaves binary64, the unconverged nan.
     """
     if not (0.0 < x < math.inf and 0.0 <= y < math.inf and 0.0 < z < math.inf):
         raise ValueError(f"rtilde_series_lower requires finite x, z > 0, y >= 0: {x=}, {y=}, {z=}")
     w = reduced_argument(x, y, z)
-    xz = x**z
+    try:
+        xz = x**z
+    except OverflowError:
+        return _REFUSED
     if w == 0.0:
         return SeriesEval(xz, 0, 0.0, True)
     if w > 200.0:
-        return SeriesEval(float("nan"), 0, float("inf"), False)
+        return _REFUSED
     u = 1.0  # (-w)^k / k!
     total = 1.0 / z
     peak = abs(total)
@@ -416,15 +422,19 @@ def rtilde_series_upper(x: float, y: float, z: float) -> SeriesEval:
 
     x^z e^w - x^z w^z sum_k w^k / Gamma(z+k+1); positive terms, but the
     leading difference cancels as e^w outgrows the result for large w.
+    Past w or w^z = e^700, or where x^z leaves binary64, the unconverged nan.
     """
     if not (0.0 < x < math.inf and 0.0 <= y < math.inf and 0.0 < z < math.inf):
         raise ValueError(f"rtilde_series_upper requires finite x, z > 0, y >= 0: {x=}, {y=}, {z=}")
     w = reduced_argument(x, y, z)
-    xz = x**z
+    try:
+        xz = x**z
+    except OverflowError:
+        return _REFUSED
     if w == 0.0:
         return SeriesEval(xz, 0, 0.0, True)
     if w > 700.0 or z * math.log(w) > 700.0:
-        return SeriesEval(float("nan"), 0, float("inf"), False)
+        return _REFUSED
     term = math.exp(-math.lgamma(z + 1.0))
     total = term
     terms = 0
@@ -457,7 +467,8 @@ def cosh_truncated(n: int, u: float) -> float:
 
 
 def gaussian_expectation(y: float, n: int) -> float:
-    """E[2cosh_{2(n-1)}((n-1) sqrt(y) X)] for standard normal X.
+    """E[cosh_{2(n-1)}((n-1) sqrt(y) X)] for standard normal X, cosh_m the
+    even part of e_m (``cosh_truncated``).
 
     Equals the closed form e_{n-1}(y (n-1)^2 / 2); the integrand is a
     polynomial of degree 2(n-1), so the rule of max(n, 20) nodes is exact.

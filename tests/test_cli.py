@@ -150,6 +150,26 @@ class TestEval:
         assert sign == "1"
         assert abs(float(log_mag) - 946.53) <= 0.01
 
+    @pytest.mark.parametrize("args, output", [
+        # a = x/y underflows to 0: Gamma_y(x) -> 1/x, and the Pochhammer ratio -> x y^(z-1) Gamma(z)
+        (["gamma-y", "--x", "1e-300", "--y", "1e300"], "9.999999999999999e+299\n"),
+        (["r-cont", "--x", "1e-300", "--y", "1e300", "--z", "2"], "1\n"),
+        # a overflows and x <= e: Gamma_y(x) underflows
+        (["gamma-y", "--x", "1", "--y", "1e-309"], "0\n"),
+    ])
+    def test_ratio_leaving_binary64_prints(self, runner, args, output):
+        result = runner.invoke(main, ["eval", *args])
+        assert result.exit_code == 0
+        assert result.stdout == output
+
+    def test_overflowing_gamma_y_is_numerical_failure(self, runner):
+        # a = x/y overflows and x > e: named, not a nan
+        result = runner.invoke(main, ["eval", "gamma-y", "--x", "1e300", "--y", "1e-300"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "gamma_y overflows" in result.stderr
+        assert "nan" not in result.stderr
+
     def test_non_finite_float_is_numerical_failure(self, runner):
         result = runner.invoke(main, ["eval", "r", "--x", "1e200", "--y", "1e200", "--z", "5"])
         assert result.exit_code == 3

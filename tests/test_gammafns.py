@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,37 @@ class TestGammaY:
         expected = math.exp((a - 1.0) * math.log(1000.0) + math.lgamma(a))
         assert gamma_y(1000.0, 1e-306) == pytest.approx(expected, rel=1e-14)
 
+    def test_underflowing_ratio_is_one_over_x(self):
+        # a = x/y = 1e-600 underflows to 0, where lgamma(a) is a domain error;
+        # y^(a-1) Gamma(a) = (1 + O(a ln y)) / x by 30-digit mpmath at the exact a
+        with mpmath.workdps(30):
+            y, x = mpmath.mpf(1e300), mpmath.mpf(1e-300)
+            expected = float(y ** (x / y - 1) * mpmath.gamma(x / y))
+        assert gamma_y(1e300, 1e-300) == pytest.approx(expected, rel=1e-14)
+        # where 1/x itself leaves binary64 the value is LogScaled
+        with mpmath.workdps(30):
+            y, x = mpmath.mpf(1e20), mpmath.mpf(1e-310)
+            log_expected = float((x / y - 1) * mpmath.log(y) + mpmath.loggamma(x / y))
+        got = gamma_y(1e20, 1e-310)
+        assert isinstance(got, LogScaled) and got.sign == 1
+        assert got.log_magnitude == pytest.approx(log_expected, rel=1e-14)
+
+    @pytest.mark.parametrize("y, x", [(1e-309, 1.0), (1e-308, 2.5), (1e-308, math.e)])
+    def test_overflowing_ratio_up_to_e_is_zero(self, y, x):
+        # a = x/y overflows; ln Gamma_y(x) = a (ln x - 1) + O(ln a), below
+        # binary64's least log for x <= math.e (by 30-digit mpmath at the exact a)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(x) / mpmath.mpf(y)
+            log_expected = (a - 1) * mpmath.log(y) + mpmath.loggamma(a)
+        assert log_expected < math.log(sys.float_info.min * sys.float_info.epsilon)
+        assert gamma_y(y, x) == 0.0
+
+    @pytest.mark.parametrize("y, x", [(1e-300, 1e300), (0.5, 1e308)])
+    def test_overflowing_ratio_past_e_raises(self, y, x):
+        # a = x/y overflows and Gamma_y(x) with it; this returned nan
+        with pytest.raises(OverflowError, match="gamma_y overflows"):
+            gamma_y(y, x)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_y(0.0, 1.0)
@@ -272,6 +304,16 @@ class TestPochhammerContinuous:
         got = pochhammer_continuous(x, y, z)
         log_got = got.log_magnitude if isinstance(got, LogScaled) else math.log(got)
         assert log_got == pytest.approx(expected, rel=1e-14, abs=1e-13)
+
+    @pytest.mark.parametrize("z", [0.0, 2.0])
+    def test_underflowing_ratio(self, z):
+        # a = x/y = 1e-600 underflows to 0, where lgamma(a) is a domain error;
+        # Gamma(a+z)/Gamma(a) -> a Gamma(z), and 30-digit mpmath at the exact a
+        with mpmath.workdps(30):
+            x, y = mpmath.mpf(1e-300), mpmath.mpf(1e300)
+            a = x / y
+            expected = float(y**z * mpmath.gamma(a + z) / mpmath.gamma(a))
+        assert pochhammer_continuous(1e-300, 1e300, z) == pytest.approx(expected, rel=1e-14)
 
     def test_overflowing_ratio(self):
         # a = x/y is inf; z ln x carries the value and z = 0 is still 1
