@@ -161,7 +161,10 @@ def simplex_volume(x, k: int):
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     # Fraction / int stays exact; int / int falls through to float.
-    return x**k / math.factorial(k)
+    try:
+        return x**k / math.factorial(k)
+    except OverflowError as exc:  # x^k, k! or their quotient as a float
+        raise OverflowError(f"simplex_volume's x^k / k! overflows in floats at (x={x}, k={k})") from exc
 
 
 def simplex_moment(x, k: int):
@@ -173,7 +176,11 @@ def simplex_moment(x, k: int):
         raise ValueError(f"k must be >= 0, got {k}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    return x ** (2 * k) / (2**k * math.factorial(k))
+    try:
+        return x ** (2 * k) / (2**k * math.factorial(k))
+    except OverflowError as exc:  # x^(2k), 2^k k! or their quotient as a float
+        raise OverflowError(
+            f"simplex_moment's x^(2k) / (2^k k!) overflows in floats at (x={x}, k={k})") from exc
 
 
 def power_sum_pair(n: int, k: int) -> tuple[int, float]:
@@ -182,8 +189,12 @@ def power_sum_pair(n: int, k: int) -> tuple[int, float]:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    try:  # before the exact sum, so a refusal costs no loop over n
+        continuous = float(n) ** (k + 1) / (k + 1)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"power_sum_pair's n^(k+1) / (k+1) overflows in floats at (n={n}, k={k})") from exc
     discrete = sum(l**k for l in range(1, n + 1))
-    continuous = float(n) ** (k + 1) / (k + 1)
     return discrete, continuous
 
 
@@ -197,6 +208,10 @@ def geometric_sum_pair(x: float, y: float) -> tuple[float, float]:
         raise ValueError(f"x must be > 0, got {x}")
     if x == 1.0:
         raise ValueError("x = 1 is the removable singularity; the limit value is y")
-    discrete = (x ** (y + 1) - 1.0) / (x - 1.0)
-    continuous = (x**y - 1.0) / math.log(x)
+    try:
+        discrete = (x ** (y + 1) - 1.0) / (x - 1.0)
+        continuous = (x**y - 1.0) / math.log(x)
+    except OverflowError as exc:  # x^(y+1) or x^y as a float
+        raise OverflowError(
+            f"geometric_sum_pair's x^(y+1) overflows in floats at (x={x}, y={y})") from exc
     return discrete, continuous

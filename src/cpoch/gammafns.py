@@ -249,9 +249,11 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
     printed bytes of ``eval gamma-y --x 3 --y 2``) and gamma_y(1, 5) =
     23.999999999999982 instead of 24.
 
-    Where a = x/y leaves binary64 the value is its limit: 1/x where a
-    underflows to 0; where a overflows, ln Gamma_y(x) = a (ln x - 1) +
-    O(ln a), so 0 for x <= e and an OverflowError above it.
+    Where a = x/y underflows to 0 the value is its limit 1/x.  Where
+    lgamma(a) overflows (a above ~2.5e305, inf included) the log is
+    Stirling's, ln Gamma_y(x) = a (ln x - 1) - ln y - ln(a / 2 pi) / 2 +
+    O(1/a): 0 for x <= e, a LogScaled where that log is finite and an
+    OverflowError naming the inputs past it.
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"gamma_y requires a finite y > 0, got {y}")
@@ -264,15 +266,35 @@ def gamma_y(y: float, x: float) -> float | LogScaled:
     except ValueError:  # a underflows to 0: Gamma_y(x) = (1 + O(a ln y)) / x
         log_value = -math.log(x)
         return LogScaled(1, log_value) if log_value > LOG_SCALED_FROM else 1.0 / x
+    except OverflowError:
+        return _gamma_y_by_stirling(y, x, a)
     if (log_value > LOG_SCALED_FROM or abs(exponent * math.log(y)) > 690.0
             or not GAMMA_TINY_Z < a < GAMMA_OVERFLOW_Z):
-        if a == math.inf:  # ln Gamma_y(x) = a (ln x - 1) + O(ln a), and float e < e
-            if x <= math.e:
-                return 0.0
-            raise OverflowError(f"gamma_y overflows: a = x/y leaves binary64 at (y={y}, x={x}), "
-                                f"where ln Gamma_y(x) ~ (x/y)(ln x - 1) > 0")
+        if a == math.inf:  # lgamma(inf) is inf, so log_value is nan
+            return _gamma_y_by_stirling(y, x, a)
         return exp_or_log_scaled(log_value)
     return y**exponent * math.gamma(a)
+
+
+#: e - math.e, which places e between math.e and the next float.
+_E_GAP = 1.4456468917292502e-16
+
+
+def _gamma_y_by_stirling(y: float, x: float, a: float) -> float | LogScaled:
+    """Gamma_y(x) where lgamma(a = x/y) overflows, by Stirling's log (see ``gamma_y``).
+
+    a (ln x - 1) decides: below -1e289 for x <= math.e < e, positive past it.
+    ln x - 1 = log1p((x - e) / e) keeps its digits next to e, where
+    math.log(x) - 1 is 0 or one ulp of 1.
+    """
+    if x <= math.e:
+        return 0.0
+    log_excess = math.log1p((x - math.e - _E_GAP) / math.e)
+    log_value = a * log_excess - math.log(y) - 0.5 * math.log(a / (2.0 * math.pi))
+    if not log_value < math.inf:
+        raise OverflowError(f"gamma_y overflows: a = x/y = {a} at (y={y}, x={x}), where "
+                            f"ln Gamma_y(x) ~ (x/y)(ln x - 1) leaves binary64")
+    return LogScaled(1, log_value)
 
 
 def pochhammer_continuous(x: float, y: float, z: float) -> float | LogScaled:

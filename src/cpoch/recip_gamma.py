@@ -25,11 +25,14 @@ literals must match bit for bit.
 its two cut orders live here.  The head's is proven: its sums
 sum_k c_k(x) h^(k+1) / (k+1) over h <= 3 add their terms in order, and past
 a cut order N(x) every term is provably below a quarter ulp of the running
-sum, so rounding absorbs it (``_head_cut``).  The state builds c_0(x) ..
-c_N(x) and c_110(x), which the head's truncation estimate reads; N(x) < 110
-for x in [0.0037, 1200].  The node series' is measured: at u in [0, 1]
-they run over c_0(x) .. c_M(x), M(x) <= N(x), dropping coefficients that
-sum below 2^-80 of every node value (``_node_cut``), which kept Horner's
+sum, so rounding absorbs it (``_head_cut``: a majorant of the coefficients
+and Cauchy's estimate on a circle bound the dropped terms, and the
+log-concavity of x^t / Gamma(t+1) bounds E from below).  The state builds
+c_0(x) .. c_N(x) and c_110(x), which the head's truncation estimate reads;
+N(x) < 110 for x in [8.97e-4, 1.168e6], with median 53 over [0.01, 1000].
+The node series' is measured: at u in [0, 1] they run over c_0(x) ..
+c_M(x), M(x) <= N(x), dropping coefficients that sum below 2^-80 of every
+node value (``_node_cut``), which kept Horner's
 bits over 1,000,000 seeded (x, u) pairs.
 """
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .core import MACHINE_EPS, SeriesEval, zeta_hat
 from .discrete import _compositions
@@ -203,35 +206,105 @@ _CUT_WEIGHTS = (0.0, *_TAIL_SUMS[:-1]) + _TAIL_SUMS[-1:] * TABLE_ORDER
 #: Covers the rounding of the bound's own float sums, of the coefficients
 #: and of the head terms (a few hundred roundings of 2^-53 each).
 _CUT_MARGIN = 1.0 + 2.0**-30
+#: psi(4) = 11/6 - gamma, rounded up: the largest |psi(h+1)| for h in (0, 3].
+_PSI_4 = 1.2561176684318005
+#: ln Gamma(4) = ln 6.
+_LN_6 = 1.791759469228055
+#: Radius r of the circle on which Cauchy's estimate bounds c_k(x).
+_CIRCLE_RADIUS = 12.5
+#: For the sectors s pi/16 <= theta <= (s+1) pi/16, s = 0 .. 15, an upper bound
+#: on ln|1/Gamma(1 + r e^(i theta))|: the largest value on 33 equally spaced
+#: theta plus r max|psi(1 + t)| times half their spacing, the most the
+#: function can rise between them, rounded up to 1e-3
+#: (``cpoch.verify`` re-derives each, case ``recip/circle_sector_bounds``).
+_SECTOR_LOG_BOUNDS = (
+    -20.316, -17.83, -13.853, -8.628, -2.473, 4.23, 11.057, 17.567,
+    23.323, 27.916, 30.992, 32.266, 32.293, 31.55, 28.742, 23.864,
+)
+#: r cos(theta) at the sector edges theta = s pi/16, s = 0 .. 16.
+_SECTOR_EDGES = tuple(_CIRCLE_RADIUS * math.cos(math.pi * s / 16) for s in range(17))
+#: (3/r)^k / (1 - 3/r): sum_{k>N} M r^-k 3^k is M times entry N + 1.
+_CIRCLE_TAILS = tuple((SERIES_WINDOW / _CIRCLE_RADIUS) ** k / (1.0 - SERIES_WINDOW / _CIRCLE_RADIUS)
+                      for k in range(TABLE_ORDER + 2))
+#: fl(c_k(x)) - c_k(x) is at most (4k + 3) 2^-53 A_k, which is this times A_k for k <= 110.
+_COEFF_ROUNDING = (4 * TABLE_ORDER + 3) * 2.0**-53
+
+
+def _head_floor(x: float, log_x: float, n: int) -> float:
+    """F(n) with E(x, h) >= h F(n) (h/3)^(n+1) for every h in (0, 3] (see ``_head_cut``)."""
+    if n + 1 < 3.0 * (abs(log_x) + _PSI_4):
+        return min(1.0, x) ** 3 / 6.0
+    g = 3.0 * log_x - _LN_6  # ln(x^3 / Gamma(4))
+    return math.expm1(g) / g if g else 1.0
 
 
 def _head_cut(x: float, log_powers: list[float]) -> int:
     """Least N for which a head sum over c_0(x) .. c_N(x) has the full table's bits.
 
     A head sum adds the terms c_k(x) h^(k+1) / (k+1), k = 0 .. 110, in
-    order, for an h <= 3.  |c_k(x)| <= A_k = sum_j |c_{k-j}| l^j / j! with
-    l = |ln x|, so every term past order N is below h times
+    order, for an h in (0, 3].  Every term past order N is at most
+    h (h/3)^(N+1) T_N, T_N = sum_{k>N} |c_k(x)| 3^k over the computed
+    coefficients, and a quarter ulp of a sum s is at least 2^-55 |s|.  So
+    once T_N, times a rounding margin, is below 2^-56 F(N), with
+    E(x, h) >= h F(N) (h/3)^(N+1) on (0, 3], every dropped term is below a
+    quarter ulp of the running sum at order N, which then absorbs it: the
+    sum keeps the full table's bits.  The factor 2 between 2^-56 and 2^-55
+    covers the computed sum's own error against E: wherever an order
+    certifies (x in [8.97e-4, 1.168e6]) its round-off bound,
+    700 * 2^-53 sum_k A_k h^(k+1) / (k+1), stays below 1e-2 of the sum
+    (checked at h = 3, where it is largest, on a grid of 400 x per decade;
+    0.0064 at the lower end).  700 covers the coefficients' rounding below,
+    the k + 2 roundings of each term and the 110 of the running sum.
 
-        sum_{k>N} A_k 3^k <= sum_{j<=N} (3l)^j/j! R_{N+1-j} + R_0 sum_{N<j<=110} (3l)^j/j!,
+    The floor F(N) is the larger of two:
 
-    R_i = sum_{m=i}^{110} |c_m| 3^m.  The sum approximates E(x, h), which
-    is at least h min(1, x^3) / 6 because x^t >= min(1, x^3) and
-    Gamma(t+1) <= 6 on [0, 3]; a quarter ulp of a sum s is at least
-    2^-55 |s|.  So once the bound, times a rounding margin, is below
-    2^-56 min(1, x^3) / 6, every dropped term is below a quarter ulp of the
-    running sum at order N, which then absorbs it: the sum keeps the full
-    table's bits.  The factor 2 between 2^-56 and 2^-55 covers the computed
-    sum's own error against E: wherever an order certifies (x in [0.0037,
-    1200]) its round-off bound, 250 * 2^-53 sum_k A_k h^(k+1) / (k+1), stays
-    below 4e-5 of the sum (checked on a grid of 400 x per decade).  Each
-    probe of N is one C-level sum over the build's own ``log_powers``, and
-    the binary search makes at most 7; TABLE_ORDER where none certifies.
+    * min(1, x^3) / 6, as x^t >= min(1, x^3) and Gamma(t+1) <= 6 on [0, 3];
+    * m(3) = expm1(g) / g, g = ln(x^3 / 6), once N + 1 >= 3 (|ln x| + psi(4)).
+      f(t) = x^t / Gamma(t+1) has a concave logarithm (Gamma is log-convex)
+      and f(0) = 1, so f(t) >= f(h)^(t/h) and E(x, h) >= h m(h), m(h) =
+      (f(h) - 1) / ln f(h).  d ln m / dh is at most |ln x - psi(h+1)|
+      <= |ln x| + psi(4) (psi(4) = 1.2561...) <= (N+1) / h, so m(h) (3/h)^(N+1)
+      falls towards h = 3 and its least value is m(3).  m(3), the
+      logarithmic mean of 1 and x^3/6, is never below min(1, x^3) / 6.
+
+    T_N is bounded two ways, and the lesser bound counts:
+
+    * |c_k(x)| <= A_k = sum_j |c_{k-j}| l^j / j!, l = |ln x|, so T_N is below
+      sum_{j<=N} (3l)^j/j! R_{N+1-j} + R_0 sum_{N<j<=110} (3l)^j/j!, with
+      R_i = sum_{m=i}^{110} |c_m| 3^m;
+    * Cauchy's estimate on the circle |t| = r = 12.5: |c_k(x)| <= M r^-k,
+      M the largest |x^t / Gamma(1+t)| on it.  Conjugate symmetry leaves
+      theta in [0, pi]; on each of 16 sectors ln|1/Gamma(1+t)| is below
+      its ``_SECTOR_LOG_BOUNDS`` entry and r ln(x) cos(theta) is largest at
+      the edge nearest theta = 0 (x >= 1) or pi (x < 1).  So the exact
+      coefficients' T_N is below M (3/r)^(N+1) / (1 - 3/r).  The computed
+      ones differ from them by at most (4k + 3) 2^-53 A_k: math.log is
+      within an ulp of ln x, each table literal, product, quotient and
+      fsum is rounded once, so ln(x)^j / j! carries 4j roundings and its
+      product with c_{k-j} two more.  Hence the added 443 * 2^-53 times
+      the first bound.
+
+    The key is monotone in N, so each probe is one C-level sum over the
+    build's own ``log_powers`` and a few float operations, and the binary
+    search makes at most 7; TABLE_ORDER where none certifies.  M is formed
+    only for |ln x| <= 110/3 - psi(4), where some order below 110 may use
+    m(3) and r |ln x| stays far from overflow; elsewhere the first bound
+    alone counts.
     """
+    log_x = log_powers[1]
     bounds = list(map(operator.mul, map(abs, log_powers), _WINDOW_POWERS))
-    limit = 2.0**-56 * min(1.0, x) ** 3 / 6.0 / _CUT_MARGIN
-    return bisect_left(
-        range(TABLE_ORDER), True,
-        key=lambda n: sum(map(operator.mul, bounds, _CUT_WEIGHTS[TABLE_ORDER - n:])) < limit)
+    circle = math.inf
+    if 3.0 * (abs(log_x) + _PSI_4) <= TABLE_ORDER:
+        edges = _SECTOR_EDGES[:-1] if log_x >= 0.0 else _SECTOR_EDGES[1:]
+        circle = math.exp(max(map(operator.add, _SECTOR_LOG_BOUNDS,
+                                  map(operator.mul, edges, repeat(log_x)))))
+
+    def certified(n: int) -> bool:
+        major = sum(map(operator.mul, bounds, _CUT_WEIGHTS[TABLE_ORDER - n:]))
+        tail = min(major, circle * _CIRCLE_TAILS[n + 1] + _COEFF_ROUNDING * major)
+        return tail < 2.0**-56 * _head_floor(x, log_x, n) / _CUT_MARGIN
+
+    return bisect_left(range(TABLE_ORDER), True, key=certified)
 
 
 #: Relative size, against min(1, x), below which the node series may drop
@@ -239,7 +312,8 @@ def _head_cut(x: float, log_powers: list[float]) -> int:
 #: log-uniform in [0.01, 1000] and u in [0, 1], Horner over c_0(x) .. c_M(x)
 #: differed from Horner over c_0(x) .. c_N(x) at 11,781 pairs with 1e-15 in
 #: its place, 139 with 1e-17, 1 with 1e-19 and none with 2^-80 (M median 36,
-#: max 50, against N median 76).
+#: max 50, against N median 76 under the head cut of that time; M is the
+#: same under today's, N median 53).
 _NODE_CUT = 2.0**-80
 
 
@@ -249,14 +323,14 @@ def _node_cut(x: float, coeffs: tuple[float, ...]) -> int:
     A node series sum_k c_k(x) u^k runs at u in [0, 1], where its value
     x^u / Gamma(u+1) is at least min(1, x) (Gamma(u+1) <= 1 there), and every
     dropped term is at most |c_k(x)|.  The terms past the head's N are below
-    B_N = 2^-56 min(1, x^3) / 6 / 3^(N+1), since ``_head_cut`` bounds their
-    3^k-weighted sum by 2^-56 min(1, x^3) / 6 (where no order certifies,
-    N = 110 and B_N is slack past the table).  So M is the least order with
-    sum_{M<k<=N} |c_k(x)| + B_N, times the rounding margin, below
+    B_N = 2^-56 F(N) / 3^(N+1), since ``_head_cut`` bounds their 3^k-weighted
+    sum by 2^-56 F(N), F(N) the floor it certified N with (where no order
+    certifies, N = 110 and B_N is slack past the table).  So M is the least
+    order with sum_{M<k<=N} |c_k(x)| + B_N, times the rounding margin, below
     ``_NODE_CUT`` min(1, x): one accumulate over the built coefficients.
-    B_N alone is far below that, as N >= N(1) = 49.
+    B_N alone is far below that wherever an order certifies.
     """
-    beyond = 2.0**-56 * min(1.0, x) ** 3 / 6.0 / SERIES_WINDOW ** len(coeffs)
+    beyond = 2.0**-56 * _head_floor(x, math.log(x), len(coeffs) - 1) / SERIES_WINDOW ** len(coeffs)
     rests = list(accumulate(map(abs, reversed(coeffs)), initial=beyond))  # M = N, N - 1, ...
     return len(coeffs) - bisect_right(rests, _NODE_CUT * min(1.0, x) / _CUT_MARGIN)
 

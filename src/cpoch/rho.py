@@ -36,13 +36,13 @@ rule (``_node_products``) and one segment sum (``_add_segment``).
 
 Cut orders: two, both chosen in ``recip_gamma``.  The head runs over
 c_0(x) .. c_N(x) only, where N(x) is the proven cut of
-``recip_gamma._head_cut`` (below TABLE_ORDER = 110 for x in [0.0037,
-1200], 110 elsewhere).  Every head term past N is below a quarter ulp of
+``recip_gamma._head_cut`` (below TABLE_ORDER = 110 for x in [8.97e-4,
+1.168e6], 110 elsewhere).  Every head term past N is below a quarter ulp of
 the head sum, so the head keeps the bits of the full table c_0(x) ..
 c_110(x); its truncation estimate still reads c_110(x).  The node series
 (Horner's rule at u in [0, 1]) run over c_0(x) .. c_M(x), M(x) <= N(x)
 from ``recip_gamma._node_cut``: the coefficients they drop sum below
-2^-80 of every node value (median M 36 against N ~80 for x in [0.01,
+2^-80 of every node value (median M 36 against N 53 for x in [0.01,
 1000]).  That the node series keep the full table's bits is measured, not
 proven: 0 differences over 1,000,000 seeded (x, u) pairs of the node
 series, and 0 in over 100k seeded E_series and rho calls.

@@ -391,7 +391,7 @@ def rtilde_series_lower(x: float, y: float, z: float) -> SeriesEval:
         raise ValueError(f"rtilde_series_lower requires finite x, z > 0, y >= 0: {x=}, {y=}, {z=}")
     w = reduced_argument(x, y, z)
     try:
-        xz = x**z
+        xz = float(x) ** z  # an int x^z is exact and never overflows
     except OverflowError:
         return _REFUSED
     if w == 0.0:
@@ -428,7 +428,7 @@ def rtilde_series_upper(x: float, y: float, z: float) -> SeriesEval:
         raise ValueError(f"rtilde_series_upper requires finite x, z > 0, y >= 0: {x=}, {y=}, {z=}")
     w = reduced_argument(x, y, z)
     try:
-        xz = x**z
+        xz = float(x) ** z  # an int x^z is exact and never overflows
     except OverflowError:
         return _REFUSED
     if w == 0.0:

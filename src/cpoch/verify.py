@@ -57,6 +57,8 @@ from .quadrature import (
     integrate_simplex,
 )
 from .recip_gamma import (
+    _CIRCLE_RADIUS,
+    _SECTOR_LOG_BOUNDS,
     TABLE_ORDER,
     c_composition_oracle,
     c_table,
@@ -242,6 +244,35 @@ def _c_recursion_oracle() -> tuple[float, ...]:
         return tuple(float(c) for c in coeffs)
 
 
+#: Equally spaced theta per sector at which ``_circle_sector_oracle`` samples.
+CIRCLE_SECTOR_GRID = 33
+
+
+def _circle_sector_oracle() -> tuple[float, ...]:
+    """Upper bounds on ln|1/Gamma(1 + t)|, t = r e^(i theta), over each sector
+    s pi/S <= theta <= (s+1) pi/S of the head cut's circle (r, S as shipped).
+
+    Each is the largest sampled value plus r max|psi(1 + t)| times half the
+    spacing: the theta-derivative of ln|1/Gamma(1 + t)| is Im(t psi(1 + t)),
+    at most r |psi(1 + t)|.  mpmath's double-precision context serves:
+    its error, ~1e-13 here, is far below the shipped bounds' rounding up.
+    """
+    import cmath
+
+    from mpmath import fp
+
+    sectors = len(_SECTOR_LOG_BOUNDS)
+    step = math.pi / sectors / (CIRCLE_SECTOR_GRID - 1)
+    bounds = []
+    for s in range(sectors):
+        ts = [_CIRCLE_RADIUS * cmath.exp(1j * (math.pi * s / sectors + i * step))
+              for i in range(CIRCLE_SECTOR_GRID)]
+        top = max(-fp.loggamma(1 + t).real for t in ts)
+        slope = _CIRCLE_RADIUS * max(abs(fp.digamma(1 + t)) for t in ts)
+        bounds.append(top + slope * step / 2)
+    return tuple(bounds)
+
+
 def _rule_oracle(kind: str, n: int, starts) -> list[tuple]:
     """(node, weight) pairs of the n-node Gauss rule, ascending, by Newton at RULE_DPS digits.
 
@@ -398,6 +429,12 @@ def _suite_recip() -> list[CaseResult]:
     worst = max(abs(a - b) / math.ulp(b) for a, b in zip(table, _c_recursion_oracle()))
     col.add("c_table_vs_recursion", {"n": f"0..{TABLE_ORDER}", "dps": 30 + TABLE_ORDER},
             "0 ulp", f"{worst:g} ulp", worst, 0.0)
+
+    # the head cut's Cauchy estimate needs each shipped sector bound at or above its oracle
+    short = max(b - shipped for b, shipped in zip(_circle_sector_oracle(), _SECTOR_LOG_BOUNDS))
+    col.add("circle_sector_bounds",
+            {"r": _CIRCLE_RADIUS, "sectors": len(_SECTOR_LOG_BOUNDS), "grid": CIRCLE_SECTOR_GRID},
+            "every bound >= its oracle", f"largest shortfall {short:.3g}", max(short, 0.0), 0.0)
 
     # Each shipped rule against the Newton solve started from its own
     # non-negative nodes; the refined nodes must be distinct, so each root is

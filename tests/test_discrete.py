@@ -232,3 +232,17 @@ class TestSumAnalogues:
     def test_geometric_rejects_unit_base(self):
         with pytest.raises(ValueError):
             geometric_sum_pair(1.0, 2.0)
+
+
+@pytest.mark.parametrize("form, args, inputs", [
+    (simplex_volume, (1e200, 5), "(x=1e+200, k=5)"),
+    (simplex_moment, (1e100, 5), "(x=1e+100, k=5)"),
+    (power_sum_pair, (10**6, 60), "(n=1000000, k=60)"),
+    (geometric_sum_pair, (1e10, 40.0), "(x=10000000000.0, y=40.0)"),
+])
+def test_float_overflow_names_the_function_and_its_inputs(bounded, form, args, inputs):
+    # each raised float **'s bare (34, 'Numerical result out of range'); the
+    # power sum's continuous side is refused before its exact sum over n
+    with pytest.raises(OverflowError, match=f"^{form.__name__}'s ") as raised:
+        form(*args)
+    assert str(raised.value).endswith(f" at {inputs}")

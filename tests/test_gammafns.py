@@ -229,21 +229,38 @@ class TestGammaY:
         assert isinstance(got, LogScaled) and got.sign == 1
         assert got.log_magnitude == pytest.approx(log_expected, rel=1e-14)
 
-    @pytest.mark.parametrize("y, x", [(1e-309, 1.0), (1e-308, 2.5), (1e-308, math.e)])
+    @pytest.mark.parametrize("y, x", [(1e-309, 1.0), (1e-308, 2.5), (1e-308, math.e),
+                                      (1e-306, 2.5), (1e-306, math.e)])
     def test_overflowing_ratio_up_to_e_is_zero(self, y, x):
-        # a = x/y overflows; ln Gamma_y(x) = a (ln x - 1) + O(ln a), below
-        # binary64's least log for x <= math.e (by 30-digit mpmath at the exact a)
+        # a = x/y overflows, or lgamma(a) does (a = 2.5e306); ln Gamma_y(x) =
+        # a (ln x - 1) + O(ln a), below binary64's least log for x <= math.e
+        # (by 30-digit mpmath at the exact a)
         with mpmath.workdps(30):
             a = mpmath.mpf(x) / mpmath.mpf(y)
             log_expected = (a - 1) * mpmath.log(y) + mpmath.loggamma(a)
         assert log_expected < math.log(sys.float_info.min * sys.float_info.epsilon)
         assert gamma_y(y, x) == 0.0
 
-    @pytest.mark.parametrize("y, x", [(1e-300, 1e300), (0.5, 1e308)])
+    @pytest.mark.parametrize("y, x", [(1e-300, 1e300), (0.5, 1e308), (1e-300, 1e8)])
     def test_overflowing_ratio_past_e_raises(self, y, x):
-        # a = x/y overflows and Gamma_y(x) with it; this returned nan
-        with pytest.raises(OverflowError, match="gamma_y overflows"):
+        # a = x/y overflows and Gamma_y(x) with it; this returned nan.  At
+        # a = 1e308 lgamma(a) overflows and raised its bare "math range error"
+        with pytest.raises(OverflowError, match="gamma_y overflows") as raised:
             gamma_y(y, x)
+        assert f"(y={y}, x={x})" in str(raised.value)
+
+    @pytest.mark.parametrize("y, x", [(1e-306, 3.0), (1e-306, math.nextafter(math.e, 3.0)),
+                                      (2e-306, 5.0)])
+    def test_overflowing_lgamma_past_e_is_log_scaled(self, y, x):
+        # a = x/y is finite but lgamma(a) overflows: Stirling's log, against
+        # 50-digit mpmath at the exact a (next to e, ln x - 1 is 1.1e-16 and
+        # the two logs cancel to 1e-19 of their size)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(x) / mpmath.mpf(y)
+            log_expected = float((a - 1) * mpmath.log(y) + mpmath.loggamma(a))
+        got = gamma_y(y, x)
+        assert isinstance(got, LogScaled) and got.sign == 1
+        assert got.log_magnitude == pytest.approx(log_expected, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):

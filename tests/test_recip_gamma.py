@@ -215,13 +215,17 @@ class TestCutOrder:
     def test_dropped_head_terms_are_absorbed(self):
         # against the full table: the head sum adds its terms in order, and
         # each term past the cut is below a quarter ulp of the sum at the cut.
-        # Seeded log-uniform x in [1e-3, 1e3], x = 1 and its neighbours, and
-        # x = 1e-3, where no order certifies and the cut is the whole table
+        # Seeded log-uniform x in [1e-3, 1e3], more in [1, 1.2e6], where the
+        # cut moves most, x = 1 and its neighbours, and both ends of the
+        # certified range [8.97e-4, 1.168e6] (measured), where the cut falls
+        # to the whole table just outside
         rng = random.Random(2206)
         xs = [math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) for _ in range(150)]
-        xs += [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-3]
+        xs += [math.exp(rng.uniform(0.0, math.log(1.2e6))) for _ in range(100)]
+        xs += [1.0, 1.0 + 1e-12, 1.0 - 1e-12]
+        ends = [8.9e-4, 9e-4, 1.1e6, 1.2e6]
         cuts = []
-        for x in xs:
+        for x in xs + ends:
             cut = _head_cut(x, _log_powers(x))
             full = weighted_series_coeffs(x)
             for head in (0.5, 1.7, 2.9, 3.0):
@@ -230,10 +234,32 @@ class TestCutOrder:
                 total = reduce(add, terms[:cut + 1], 0.0)
                 assert all(abs(t) < math.ulp(total) / 4 for t in terms[cut + 1:]), (x, head, cut)
             cuts.append(cut)
-        assert cuts[-1] == TABLE_ORDER
-        # the bound cuts every x in [0.0037, 1200]
-        assert all(cut < TABLE_ORDER for x, cut in zip(xs, cuts) if 0.0037 <= x <= 1200.0)
-        assert cuts[-4:-1] == [cuts[-4]] * 3  # x = 1 +- 1e-12 cut as x = 1
+        assert cuts[-4:] == [TABLE_ORDER, 109, 109, TABLE_ORDER]
+        assert all(cut < TABLE_ORDER for cut in cuts[:-4])
+        assert cuts[-7:-4] == [cuts[-7]] * 3  # x = 1 +- 1e-12 cut as x = 1
+
+    def test_round_off_is_far_below_the_sum_wherever_an_order_certifies(self):
+        # the cut's factor 2 needs the head sum's round-off bound,
+        # 700 * 2^-53 sum_k A_k h^(k+1) / (k+1), below half the sum; it stays
+        # below 1e-2 of it at h = 3, where it is largest, on a grid of 400 x
+        # per decade over the certified range and a step past each end.
+        # sum_k A_k 3^(k+1) / (k+1) = sum_j l^j / j! W_j and the sum is
+        # sum_j ln(x)^j / j! V_j, with W_j, V_j over the table alone
+        table = c_table()
+        weights = [[c * 3.0 ** (m + j + 1) / (m + j + 1) for m, c in enumerate(table[:TABLE_ORDER + 1 - j])]
+                   for j in range(TABLE_ORDER + 1)]
+        majors = [math.fsum(map(abs, row)) for row in weights]
+        sums = [math.fsum(row) for row in weights]
+        worst = 0.0
+        for k in range(-1220, 2430):  # x = 10^(k/400) in [8.9e-4, 1.2e6]
+            x = 10.0 ** (k / 400)
+            log_powers = _log_powers(x)
+            major = math.fsum(map(mul, map(abs, log_powers), majors))
+            ratio = 700 * 2.0**-53 * major / abs(math.fsum(map(mul, log_powers, sums)))
+            if _head_cut(x, log_powers) < TABLE_ORDER:
+                worst = max(worst, ratio)
+                assert ratio < 1e-2, x
+        assert 0.0 < worst < 1e-2
 
     @pytest.mark.parametrize("x", [1e-3, 0.3, 1.0, 2.0, 500.0])
     def test_state_holds_a_prefix_of_the_full_table(self, x):
@@ -265,13 +291,17 @@ class TestCutOrder:
             for u in [rng.random() for _ in range(40)] + [0.0, 1.0]:
                 assert _horner(nodes, u) == _horner(coeffs, u), (x, u, node_order)
             node_orders.append(node_order)
-        assert max(node_orders) <= 60  # the cut keeps well under the head's ~80
+        assert max(node_orders) <= 60  # the cut keeps well under the head's ~55
 
 
 class TestOneTable:
     def test_literals_match_the_recursion(self, verify_cases):
         # the shipped c_0 .. c_110 are the 140-digit recursion's, bit for bit
         verify_cases.check("recip/c_table_vs_recursion")
+
+    def test_circle_sector_bounds_cover_their_oracle(self, verify_cases):
+        # the head cut's Cauchy estimate reads these literals as upper bounds
+        verify_cases.check("recip/circle_sector_bounds")
 
 
 # Bits of the coefficient layer; a change to any returned float fails here.

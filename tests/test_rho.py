@@ -33,20 +33,20 @@ E_GAMMA = math.exp(EULER_GAMMA)
 # the head, then M + 1 of its node cut order M for each of the 24 full nodes
 # once a full segment runs and each of the 24 partial nodes.
 E_SERIES_PINNED = [
-    (0.3, 1.7, "0x1.80e7c019a8814p-1", 63, "0x1.d3caa70029224p-49", True),
-    (2.0, 3.0, "0x1.55a924232272bp+2", 56, "0x1.87fba95e40c3ap-47", True),
-    (1.0, 2.5, "0x1.046a669f7ef3cp+1", 50, "0x1.b54086325f5c1p-48", True),
-    (120.0, 3.4, "0x1.42c1e5d7dcf81p+18", 955, "0x1.ff6303446cf5dp-32", True),
-    (7.5, 4.0, "0x1.4de2b1140c469p+7", 763, "0x1.f28cc0b6d2a39p-43", True),
-    (0.05, 12.0, "0x1.6c5823c422bc4p-2", 1138, "0x1.722e7ad10b34dp-39", True),
-    (1.0, 10.0, "0x1.221dcc8942622p+1", 866, "0x1.e6c47a058a922p-46", True),
-    (500.0, 25.0, "0x1.d83df2022b63fp+138", 1159, "0x1.d83df2022b63fp+89", True),
-    (2.0, 30.0, "0x1.bfd8583a9dc81p+2", 800, "0x1.16455baeb7831p-44", True),
-    (0.2, 5.25, "0x1.4142688a7f17ap-1", 1939, "0x1.4b3fd6e96f99dp-43", True),
-    (1.0, 17.3, "0x1.221dcd80e9c43p+1", 1682, "0x1.73623d21ba356p-45", True),
-    (50.0, 8.75, "0x1.e27ac6c1a77f2p+30", 1524, "0x1.e27a64fc667f8p-19", True),
-    (0.01, 20.6, "0x1.da9ae6e420779p-3", 2548, "0x1.01ac9f72919bap-33", False),
-    (2.0, 29.5, "0x1.bfd8583a9dc81p+2", 1544, "0x1.16455baeb7831p-44", True),
+    (0.3, 1.7, "0x1.80e7c019a8814p-1", 60, "0x1.d3caa70029224p-49", True),
+    (2.0, 3.0, "0x1.55a924232272bp+2", 47, "0x1.87fba95e40c3ap-47", True),
+    (1.0, 2.5, "0x1.046a669f7ef3cp+1", 49, "0x1.b54086325f5c1p-48", True),
+    (120.0, 3.4, "0x1.42c1e5d7dcf81p+18", 916, "0x1.ff6303446cf5dp-32", True),
+    (7.5, 4.0, "0x1.4de2b1140c469p+7", 738, "0x1.f28cc0b6d2a39p-43", True),
+    (0.05, 12.0, "0x1.6c5823c422bc4p-2", 1132, "0x1.722e7ad10b34dp-39", True),
+    (1.0, 10.0, "0x1.221dcc8942622p+1", 865, "0x1.e6c47a058a922p-46", True),
+    (500.0, 25.0, "0x1.d83df2022b63fp+138", 1116, "0x1.d83df2022b63fp+89", True),
+    (2.0, 30.0, "0x1.bfd8583a9dc81p+2", 791, "0x1.16455baeb7831p-44", True),
+    (0.2, 5.25, "0x1.4142688a7f17ap-1", 1936, "0x1.4b3fd6e96f99dp-43", True),
+    (1.0, 17.3, "0x1.221dcd80e9c43p+1", 1681, "0x1.73623d21ba356p-45", True),
+    (50.0, 8.75, "0x1.e27ac6c1a77f2p+30", 1488, "0x1.e27a64fc667f8p-19", True),
+    (0.01, 20.6, "0x1.da9ae6e420779p-3", 2538, "0x1.01ac9f72919bap-33", False),
+    (2.0, 29.5, "0x1.bfd8583a9dc81p+2", 1535, "0x1.16455baeb7831p-44", True),
 ]
 # Test ids keep the terms figure of the per-segment count E_series first
 # reported (111 head terms plus 24 x 111 for each unit segment past z = 3),

@@ -508,10 +508,11 @@ class TestSeriesForms:
 
     @pytest.mark.parametrize("form", [rtilde_series_lower, rtilde_series_upper])
     @pytest.mark.parametrize("x, y, z", [(10.0, 1.0, 400.0), (10.0, 0.0, 400.0),
-                                         (2.0, 1e-300, 1100.0)])
+                                         (2.0, 1e-300, 1100.0), (2, 1e-300, 1100), (10, 0, 400)])
     def test_overflowing_power_is_refused(self, form, x, y, z):
         # x^z leaves binary64 at a finite in-domain point: the large-w guard's
-        # unconverged nan, not an uncaught OverflowError
+        # unconverged nan, not an uncaught OverflowError; with int x and z too,
+        # where x**z is an exact int (10**400 came back as a converged value)
         result = form(x, y, z)
         assert math.isnan(result.value)
         assert (result.terms_used, result.tail_estimate, result.converged) == (0, math.inf, False)
