@@ -164,7 +164,8 @@ def simplex_volume(x, k: int):
     try:
         return x**k / math.factorial(k)
     except OverflowError as exc:  # x^k, k! or their quotient as a float
-        raise OverflowError(f"simplex_volume's x^k / k! overflows in floats at (x={x}, k={k})") from exc
+        raise OverflowError(
+            f"simplex_volume's x^k / k! overflows in floats at (x={x}, k={k})") from exc
 
 
 def simplex_moment(x, k: int):

@@ -204,7 +204,8 @@ _TAIL_SUMS = tuple(accumulate(map(operator.mul, map(abs, _REVERSED), _WINDOW_POW
 #: entry j is R_{N+1-j} for j <= N and R_0 past it.
 _CUT_WEIGHTS = (0.0, *_TAIL_SUMS[:-1]) + _TAIL_SUMS[-1:] * TABLE_ORDER
 #: Covers the rounding of the bound's own float sums, of the coefficients
-#: and of the head terms (a few hundred roundings of 2^-53 each).
+#: and of the head terms (a few hundred roundings of 2^-53 each), and that of
+#: the floor's and of M's float forms in ``_head_cut`` (below 1e-12 relative).
 _CUT_MARGIN = 1.0 + 2.0**-30
 #: psi(4) = 11/6 - gamma, rounded up: the largest |psi(h+1)| for h in (0, 3].
 _PSI_4 = 1.2561176684318005
@@ -222,7 +223,8 @@ _SECTOR_LOG_BOUNDS = (
     23.323, 27.916, 30.992, 32.266, 32.293, 31.55, 28.742, 23.864,
 )
 #: r cos(theta) at the sector edges theta = s pi/16, s = 0 .. 16.
-_SECTOR_EDGES = tuple(_CIRCLE_RADIUS * math.cos(math.pi * s / 16) for s in range(17))
+_SECTOR_EDGES = tuple(_CIRCLE_RADIUS * math.cos(math.pi * s / len(_SECTOR_LOG_BOUNDS))
+                      for s in range(len(_SECTOR_LOG_BOUNDS) + 1))
 #: (3/r)^k / (1 - 3/r): sum_{k>N} M r^-k 3^k is M times entry N + 1.
 _CIRCLE_TAILS = tuple((SERIES_WINDOW / _CIRCLE_RADIUS) ** k / (1.0 - SERIES_WINDOW / _CIRCLE_RADIUS)
                       for k in range(TABLE_ORDER + 2))
@@ -278,11 +280,13 @@ def _head_cut(x: float, log_powers: list[float]) -> int:
       its ``_SECTOR_LOG_BOUNDS`` entry and r ln(x) cos(theta) is largest at
       the edge nearest theta = 0 (x >= 1) or pi (x < 1).  So the exact
       coefficients' T_N is below M (3/r)^(N+1) / (1 - 3/r).  The computed
-      ones differ from them by at most (4k + 3) 2^-53 A_k: math.log is
-      within an ulp of ln x, each table literal, product, quotient and
-      fsum is rounded once, so ln(x)^j / j! carries 4j roundings and its
-      product with c_{k-j} two more.  Hence the added 443 * 2^-53 times
-      the first bound.
+      ones differ from them by at most (4k + 3) 2^-53 A_k: ln(x)^j / j!
+      carries 4j roundings (math.log's ulp of ln x counts as two, raised
+      to the j-th power, then j products and j quotients), its product
+      with c_{k-j} two more (the correctly rounded literal's and its own)
+      and fsum one.  For k <= 110 that is at most 443 * 2^-53 A_k, so the
+      computed T_N is below the circle's bound plus 443 * 2^-53 times the
+      first bound.
 
     The key is monotone in N, so each probe is one C-level sum over the
     build's own ``log_powers`` and a few float operations, and the binary

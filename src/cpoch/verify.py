@@ -5,9 +5,9 @@ its cases up by ``suite/case_id`` instead of restating them.  Each suite
 re-checks the identities, recursions, bounds and asymptotic trends of one
 module against independent oracles (brute-force enumeration, quadrature,
 finite differences, exact rational arithmetic, mpmath at 30 to 140
-digits).  The shipped float tables, the reciprocal-gamma coefficients
-and the Gauss rules, are checked against their mpmath constructions here
-too.  Results
+digits).  The shipped float tables, the reciprocal-gamma coefficients,
+the head cut's circle bounds and the Gauss rules, are checked against
+their mpmath constructions here too.  Results
 come back as a structured report: one residual per case, pass/fail per
 case, process-level success only if everything passed.
 

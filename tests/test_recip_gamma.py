@@ -246,7 +246,8 @@ class TestCutOrder:
         # sum_k A_k 3^(k+1) / (k+1) = sum_j l^j / j! W_j and the sum is
         # sum_j ln(x)^j / j! V_j, with W_j, V_j over the table alone
         table = c_table()
-        weights = [[c * 3.0 ** (m + j + 1) / (m + j + 1) for m, c in enumerate(table[:TABLE_ORDER + 1 - j])]
+        weights = [[c * 3.0 ** (m + j + 1) / (m + j + 1)
+                    for m, c in enumerate(table[:TABLE_ORDER + 1 - j])]
                    for j in range(TABLE_ORDER + 1)]
         majors = [math.fsum(map(abs, row)) for row in weights]
         sums = [math.fsum(row) for row in weights]
