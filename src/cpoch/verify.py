@@ -254,8 +254,10 @@ def _circle_sector_oracle() -> tuple[float, ...]:
 
     Each is the largest sampled value plus r max|psi(1 + t)| times half the
     spacing: the theta-derivative of ln|1/Gamma(1 + t)| is Im(t psi(1 + t)),
-    at most r |psi(1 + t)|.  mpmath's double-precision context serves:
-    its error, ~1e-13 here, is far below the shipped bounds' rounding up.
+    at most r |psi(1 + t)|.  The value at each midpoint between samples,
+    where that margin is used most, is taken too, so a margin too thin
+    there raises the bound.  mpmath's double-precision context serves: its
+    error, ~1e-13 here, is far below the shipped bounds' rounding up.
     """
     import cmath
 
@@ -265,11 +267,11 @@ def _circle_sector_oracle() -> tuple[float, ...]:
     step = math.pi / sectors / (CIRCLE_SECTOR_GRID - 1)
     bounds = []
     for s in range(sectors):
-        ts = [_CIRCLE_RADIUS * cmath.exp(1j * (math.pi * s / sectors + i * step))
-              for i in range(CIRCLE_SECTOR_GRID)]
-        top = max(-fp.loggamma(1 + t).real for t in ts)
-        slope = _CIRCLE_RADIUS * max(abs(fp.digamma(1 + t)) for t in ts)
-        bounds.append(top + slope * step / 2)
+        ts = [_CIRCLE_RADIUS * cmath.exp(1j * (math.pi * s / sectors + i * step / 2))
+              for i in range(2 * CIRCLE_SECTOR_GRID - 1)]
+        values = [-fp.loggamma(1 + t).real for t in ts]
+        slope = _CIRCLE_RADIUS * max(abs(fp.digamma(1 + t)) for t in ts[::2])
+        bounds.append(max(max(values[::2]) + slope * step / 2, max(values[1::2])))
     return tuple(bounds)
 
 
