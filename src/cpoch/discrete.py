@@ -7,9 +7,9 @@ kind S_{n,k} invert each other.  A brute-force lattice-point oracle and the
 ordered-simplex closed forms keep every identity independently checkable.
 
 The Stirling tables are ``lru_cache`` entries, built once per process:
-``_stirling_row`` holds row n of each kind (``first_signed`` included) and
-``_stirling`` each (kind, max_n) triangle asked for, at most 3 x 65 = 195
-each.  The entries are immutable, so concurrent callers need no lock.
+``_stirling_rows`` holds rows 0..64 of each kind (3 x 65 rows at most), and
+each triangle is a slice of them.  The entries are immutable, so concurrent
+callers need no lock.
 """
 
 from __future__ import annotations
@@ -84,40 +84,37 @@ class StirlingTriangle:
 
 
 @lru_cache(maxsize=None)
-def _stirling_row(kind: str, n: int) -> tuple[int, ...]:
-    """Row n of the Stirling triangle of kind.
+def _stirling_rows(kind: str) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..STIRLING_MAX_N of the Stirling triangle of kind.
 
     first_unsigned:  r_{n+1,k} = r_{n,k-1} + n r_{n,k}
     second:          S_{n+1,k} = S_{n,k-1} + k S_{n,k}
     first_signed:    s_{n,k} = (-1)^(n-k) r_{n,k}
     """
+    rows = [(1,)]
+    for n in range(1, STIRLING_MAX_N + 1):
+        prev = (0, *rows[-1], 0)  # prev[k] is entry k - 1 of row n - 1
+        rows.append(tuple(prev[k] + (k if kind == "second" else n - 1) * prev[k + 1]
+                          for k in range(n + 1)))
     if kind == "first_signed":
-        return tuple(-v if (n - k) & 1 else v
-                     for k, v in enumerate(_stirling_row("first_unsigned", n)))
-    if n == 0:
-        return (1,)
-    prev = (0, *_stirling_row(kind, n - 1), 0)  # prev[k] is entry k - 1 of row n - 1
-    return tuple(prev[k] + (k if kind == "second" else n - 1) * prev[k + 1] for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _stirling(kind: str, max_n: int) -> StirlingTriangle:
-    """The triangle of kind with the held rows 0..max_n."""
-    return StirlingTriangle(kind, max_n, tuple(_stirling_row(kind, n) for n in range(max_n + 1)))
+        rows = [tuple(-v if (n - k) & 1 else v for k, v in enumerate(row))
+                for n, row in enumerate(rows)]
+    return tuple(rows)
 
 
 def stirling_triangle(kind: str, max_n: int) -> StirlingTriangle:
     """The Stirling triangle of kind up to row max_n, by the standard recurrences.
 
-    Each row and each triangle is built once, when a call first asks for
-    it (``_stirling_row``, ``_stirling``); max_n must be an integer.
+    The rows of each kind are built once, when a call first asks for the
+    kind (``_stirling_rows``), and each call slices them into a new
+    triangle; max_n must be an integer.
     """
     if kind not in TRIANGLE_KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
-    max_n = operator.index(max_n)  # a float equal to an int would hit its cache entry
+    max_n = operator.index(max_n)  # refuses a float, 3.0 included
     if not 0 <= max_n <= STIRLING_MAX_N:
         raise ValueError(f"max_n must lie in [0, {STIRLING_MAX_N}], got {max_n}")
-    return _stirling(kind, max_n)
+    return StirlingTriangle(kind, max_n, _stirling_rows(kind)[:max_n + 1])
 
 
 def stirling_lattice_oracle(n: int, k: int) -> int:
@@ -154,8 +151,37 @@ def _compositions(n: int):
         yield parts
 
 
+def _past_floats(form: str, inputs: str, log_value, exact) -> float:
+    """A value whose float form overflowed in an intermediate.
+
+    log_value() estimates the value's log.  Below binary64's least
+    subnormal, e^-744.4, the value rounds to 0.0; past its largest float,
+    e^709.8, the OverflowError names form and inputs; between them exact()
+    gives the value, rounded once from exact rationals where it can (a
+    float x is the rational x.as_integer_ratio(), and an int quotient is
+    correctly rounded, subnormals included).  Each bound is widened by 1,
+    so no rounding in the estimate decides a value near either end, and the
+    estimate comes first, so no exact power is built far past binary64.
+    """
+    try:
+        log = log_value()
+        if log < -746.0:
+            return 0.0
+        if log > 711.0:
+            raise OverflowError(f"its log is about {log:.6g}")
+        return exact()
+    except OverflowError as exc:
+        raise OverflowError(f"{form} exceeds the largest float at {inputs}") from exc
+
+
 def simplex_volume(x, k: int):
-    """vol of the ordered simplex 0 <= s_1 <= ... <= s_k <= x, i.e. x^k / k!."""
+    """vol of the ordered simplex 0 <= s_1 <= ... <= s_k <= x, i.e. x^k / k!.
+
+    Where x^k or k! overflows as a float, the exact quotient rounded once.
+    Its p^k, x = p/q, has k times p's bits: about 1 s at k = 10^5 and more
+    beyond, which only x within about 750/k relative of k/e reaches (else
+    the estimated log refuses first, or returns 0.0).
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if x < 0:
@@ -163,15 +189,19 @@ def simplex_volume(x, k: int):
     # Fraction / int stays exact; int / int falls through to float.
     try:
         return x**k / math.factorial(k)
-    except OverflowError as exc:  # x^k, k! or their quotient as a float
-        raise OverflowError(
-            f"simplex_volume's x^k / k! overflows in floats at (x={x}, k={k})") from exc
+    except OverflowError:  # x^k, k! or their quotient as a float
+        p, q = x.as_integer_ratio()
+        return _past_floats("simplex_volume's x^k / k!", f"(x={x}, k={k})",
+                            lambda: k * math.log(x) - math.lgamma(k + 1) if x else -math.inf,
+                            lambda: p**k / (q**k * math.factorial(k)))
 
 
 def simplex_moment(x, k: int):
     """Integral of s_1 ... s_k over the ordered simplex with top x.
 
-    Closed form x^(2k) / (2^k k!) = (2k-1)!! x^(2k) / (2k)!.
+    Closed form x^(2k) / (2^k k!) = (2k-1)!! x^(2k) / (2k)!; past the float
+    range of an intermediate, the exact quotient rounded once, as in
+    ``simplex_volume``.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -179,24 +209,50 @@ def simplex_moment(x, k: int):
         raise ValueError(f"x must be >= 0, got {x}")
     try:
         return x ** (2 * k) / (2**k * math.factorial(k))
-    except OverflowError as exc:  # x^(2k), 2^k k! or their quotient as a float
-        raise OverflowError(
-            f"simplex_moment's x^(2k) / (2^k k!) overflows in floats at (x={x}, k={k})") from exc
+    except OverflowError:  # x^(2k), 2^k k! or their quotient as a float
+        p, q = x.as_integer_ratio()
+        return _past_floats(
+            "simplex_moment's x^(2k) / (2^k k!)", f"(x={x}, k={k})",
+            lambda: (2 * k * math.log(x) - k * math.log(2.0) - math.lgamma(k + 1)
+                     if x else -math.inf),
+            lambda: p ** (2 * k) / (q ** (2 * k) * math.factorial(k) << k))
 
 
 def power_sum_pair(n: int, k: int) -> tuple[int, float]:
-    """(discrete, continuous): S_k(n) = 1^k + ... + n^k and its analogue n^(k+1)/(k+1)."""
+    """(discrete, continuous): S_k(n) = 1^k + ... + n^k and its analogue n^(k+1)/(k+1).
+
+    Where n^(k+1) overflows as a float, the continuous side is the exact
+    quotient rounded once.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     try:  # before the exact sum, so a refusal costs no loop over n
         continuous = float(n) ** (k + 1) / (k + 1)
-    except OverflowError as exc:
-        raise OverflowError(
-            f"power_sum_pair's n^(k+1) / (k+1) overflows in floats at (n={n}, k={k})") from exc
+    except OverflowError:
+        continuous = _past_floats("power_sum_pair's n^(k+1) / (k+1)", f"(n={n}, k={k})",
+                                  lambda: (k + 1) * math.log(n) - math.log(k + 1),
+                                  lambda: n ** (k + 1) / (k + 1))
     discrete = sum(l**k for l in range(1, n + 1))
     return discrete, continuous
+
+
+def _power_quotient(form: str, x: float, y: float, e: float, d: Fraction) -> float:
+    """(x^e - 1) / d, d = x - 1 or ln x exactly, where its float form overflowed.
+
+    Exact, rounded once, for an integral e; else in logs, where the 1 lies
+    below x^e's last bit.
+    """
+    def log_value():
+        return e * math.log(x) - math.log(abs(d))
+
+    def exact():
+        if e % 1 == 0:
+            return float((Fraction(x) ** int(e) - 1) / d)
+        return math.copysign(math.exp(log_value()), d)
+
+    return _past_floats(f"geometric_sum_pair's {form}", f"(x={x}, y={y})", log_value, exact)
 
 
 def geometric_sum_pair(x: float, y: float) -> tuple[float, float]:
@@ -204,6 +260,8 @@ def geometric_sum_pair(x: float, y: float) -> tuple[float, float]:
 
     At integer y the discrete side is 1 + x + ... + x^y.  The analogue has a
     removable singularity at x = 1 (limit value y); that point is rejected.
+    Where x^(y+1), x^y or a quotient overflows as a float, that side is
+    formed exactly at an integral y and in logs otherwise.
     """
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
@@ -211,8 +269,14 @@ def geometric_sum_pair(x: float, y: float) -> tuple[float, float]:
         raise ValueError("x = 1 is the removable singularity; the limit value is y")
     try:
         discrete = (x ** (y + 1) - 1.0) / (x - 1.0)
+    except OverflowError:  # x^(y+1)
+        discrete = math.inf
+    if math.isinf(discrete):  # x^(y+1) or the quotient
+        discrete = _power_quotient("(x^(y+1) - 1) / (x - 1)", x, y, y + 1, Fraction(x) - 1)
+    try:
         continuous = (x**y - 1.0) / math.log(x)
-    except OverflowError as exc:  # x^(y+1) or x^y as a float
-        raise OverflowError(
-            f"geometric_sum_pair's x^(y+1) overflows in floats at (x={x}, y={y})") from exc
+    except OverflowError:  # x^y
+        continuous = math.inf
+    if math.isinf(continuous):  # x^y or the quotient
+        continuous = _power_quotient("(x^y - 1) / ln x", x, y, y, Fraction(math.log(x)))
     return discrete, continuous

@@ -231,8 +231,12 @@ def E_series(x: float, z: float, tol: float = 1e-10) -> SeriesEval:
         raise ValueError(f"E_series requires a finite tol > 0, got {tol}")
     if z == 0.0:
         return SeriesEval(0.0, 0, 0.0, True)
-    z, _, rest = _cut_at_nu(x, z, tol)
-    total, trunc, floor, terms = _series_state(x).integral(z)
+    limit, _, rest = _cut_at_nu(x, z, tol)
+    try:
+        total, trunc, floor, terms = _series_state(x).integral(limit)
+    except OverflowError as exc:  # x^t0 of a segment; the state keeps the segments before it
+        raise OverflowError(
+            f"E_series's segment factor x^t0 overflows in floats at (x={x}, z={z})") from exc
     tail = trunc + floor + rest
     converged = tail <= tol * max(1.0, abs(total))
     return SeriesEval(total, terms, tail, converged)
@@ -254,13 +258,18 @@ def E_quadrature(x: float, z: float, tol: float = 1e-10) -> float:
         raise ValueError(f"E_quadrature requires z >= 0, got {z}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"E_quadrature requires a finite tol > 0, got {tol}")
-    z, tol, _ = _cut_at_nu(x, z, tol)
+    limit, tol, _ = _cut_at_nu(x, z, tol)
     log_x = math.log(x)
 
     def integrand(t: float) -> float:
         return math.exp(t * log_x - math.lgamma(t + 1.0))
 
-    value, _ = integrate_adaptive(QuadratureRequest(integrand, 0.0, z, tolerance=tol))
+    try:
+        value, _ = integrate_adaptive(QuadratureRequest(integrand, 0.0, limit, tolerance=tol))
+    except OverflowError as exc:  # math.exp of the integrand
+        raise OverflowError(
+            f"E_quadrature's integrand x^t / Gamma(t+1) overflows in floats at (x={x}, z={z})"
+        ) from exc
     return value
 
 
@@ -340,13 +349,16 @@ def mu_function(x: float, beta: float = 0.0, alpha: float = 0.0, tol: float = 1e
         raise ValueError(f"mu_function requires finite beta, alpha >= 0, got {beta=}, {alpha=}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"mu_function requires a finite tol > 0, got {tol}")
-    integrand, cutoff = _mu_integrand(x, beta, alpha, tol)
     try:
+        integrand, cutoff = _mu_integrand(x, beta, alpha, tol)
         value, _ = integrate_adaptive(
             QuadratureRequest(integrand, 0.0, cutoff, tolerance=tol / 2.0)
         )
     except QuadratureError as exc:
         raise ConvergenceError(f"mu({x}, {beta}, {alpha}) quadrature failed: {exc}") from exc
+    except OverflowError as exc:  # math.exp of the integrand or of its tail bound
+        raise OverflowError(f"mu_function's integrand or tail bound overflows in floats at "
+                            f"(x={x}, beta={beta}, alpha={alpha})") from exc
     return value
 
 

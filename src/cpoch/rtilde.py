@@ -19,12 +19,12 @@ the independent oracle for both, in ``cpoch.verify``.
 
 Each entry depends only on its cell, so the exact tables are ``lru_cache``
 entries, built once per process and bounded by ``RTILDE_MAX_N`` = 48:
-``_held_prefix`` holds column k's entries 0..m for each (k, m) with
-k + m <= 48 a call reached (1176 at most, each the one before plus one
-entry), ``_groupoid_cell`` each cell with n <= 48 (1176), ``_triangle_row``
-the (rt, st, St) rows (49) and ``_triangle`` each triangle asked for (49).
-A cell past n = 48 runs the recurrence and holds nothing.  The entries are
-immutable, so concurrent callers need no lock.
+``_column`` holds column k's entries 0..48-k, from one run of the
+recurrence (48 columns, 1176 entries), ``_groupoid_cell`` each cell with
+n <= 48 (1176) and ``_triangle_row`` the (rt, st, St) rows (49); each
+triangle is built on its call from the held rows.  A cell past n = 48
+extends its held column (from (1, 0) where k > 48) and holds nothing.  The
+entries are immutable, so concurrent callers need no lock.
 """
 
 from __future__ import annotations
@@ -140,10 +140,10 @@ def _groupoid_prefix(k: int, m: int,
 
 
 @lru_cache(maxsize=None)
-def _held_prefix(k: int, m: int) -> tuple[tuple[int, int], ...]:
-    """Entries 0..m of column k, for k + m <= RTILDE_MAX_N: the held entries
-    0..m-1 extended by one, so each entry is computed once."""
-    return _groupoid_prefix(k, m, _held_prefix(k, m - 1) if m else ((1, 0),))
+def _column(k: int) -> tuple[tuple[int, int], ...]:
+    """Entries 0..RTILDE_MAX_N-k of column k, 1 <= k <= RTILDE_MAX_N: the
+    cells (k..RTILDE_MAX_N, k)."""
+    return _groupoid_prefix(k, RTILDE_MAX_N - k)
 
 
 @lru_cache(maxsize=None)
@@ -154,16 +154,9 @@ def _triangle_row(n: int) -> tuple[tuple[Fraction, ...], ...]:
     S_row = [Fraction(1 if n == 0 else 0)]
     for k in range(1, n + 1):
         p = n - k
-        e, o = _held_prefix(k, p)[p]
+        e, o = _column(k)[p]
         S_row.append(Fraction(o - e if p & 1 else e - o, 2**p * math.factorial(p)))
     return r_row, s_row, tuple(S_row)
-
-
-@lru_cache(maxsize=None)
-def _triangle(max_n: int) -> RTildeTriangle:
-    """The triangles with the held rows 0..max_n."""
-    r_rows, s_rows, S_rows = zip(*map(_triangle_row, range(max_n + 1)))
-    return RTildeTriangle(max_n, r_rows, s_rows, S_rows)
 
 
 def rtilde_triangle(max_n: int) -> RTildeTriangle:
@@ -173,20 +166,22 @@ def rtilde_triangle(max_n: int) -> RTildeTriangle:
     St_{k+p,k} = (-1)^p D[p] / (2^p p!), the inversion sum_l st_{n,l} St_{l,k}
     = delta_{n,k} is the recurrence D[p] = -sum_{a=1..p} binom(p, a)
     (p+k-1)^(2a) D[p-a], D[0] = 1, which D = even - odd of
-    ``_groupoid_prefix`` satisfies; so the held prefixes give
+    ``_groupoid_prefix`` satisfies; so the held columns give
 
         St_{k+p,k} = (-1)^p (even[p] - odd[p]) / (2^p p!).
 
     Column 0 is the unit vector, since st_{n,0} = 0 for n >= 1.  The exact
     forward substitution St_{n,k} = -sum_{k<=l<n} st_{n,l} St_{l,k} is the
     independent oracle ``cpoch.verify._stilde_forward_oracle``.  Each row
-    and each triangle is built once, when a call first asks for it
-    (``_triangle_row``, ``_triangle``); max_n must be an integer.
+    is built once, when a call first asks for it (``_triangle_row``), and
+    each call gathers the held rows into a new triangle; max_n must be an
+    integer.
     """
-    max_n = operator.index(max_n)  # a float equal to an int would hit its cache entry
+    max_n = operator.index(max_n)  # refuses a float, 3.0 included
     if not 0 <= max_n <= RTILDE_MAX_N:
         raise ValueError(f"max_n must lie in [0, {RTILDE_MAX_N}], got {max_n}")
-    return _triangle(max_n)
+    r_rows, s_rows, S_rows = zip(*map(_triangle_row, range(max_n + 1)))
+    return RTildeTriangle(max_n, r_rows, s_rows, S_rows)
 
 
 def stilde_mobius_oracle(n: int, k: int) -> Fraction:
@@ -224,13 +219,14 @@ class GroupoidCardinalities:
 
 @lru_cache(maxsize=None)
 def _groupoid_cell(n: int, k: int) -> GroupoidCardinalities:
-    """The cardinalities of cell (n, k), 0 < k <= n; column k's entries are
-    the held ones while n <= RTILDE_MAX_N."""
+    """The cardinalities of cell (n, k), 0 < k <= n: entry n - k of column k,
+    the held column extended past n = RTILDE_MAX_N (begun at (1, 0) for a k
+    past it)."""
     m = n - k
     g = rtilde_coefficient(n, k)
     if m == 0:
         return GroupoidCardinalities(g, Fraction(0), Fraction(0))
-    even, odd = (_held_prefix(k, m) if n <= RTILDE_MAX_N else _groupoid_prefix(k, m))[m]
+    even, odd = _groupoid_prefix(k, m, _column(k) if k <= RTILDE_MAX_N else ((1, 0),))[m]
     denom = 2**m * math.factorial(m)
     return GroupoidCardinalities(g, Fraction(even, denom), Fraction(odd, denom))
 

@@ -41,17 +41,15 @@ def bounded():
 
 #: The memoised functions that hold the exact tables.
 EXACT_TABLE_CACHES = (
-    cpoch.rtilde._held_prefix,
+    cpoch.rtilde._column,
     cpoch.rtilde._groupoid_cell,
     cpoch.rtilde._triangle_row,
-    cpoch.rtilde._triangle,
-    cpoch.discrete._stirling_row,
-    cpoch.discrete._stirling,
+    cpoch.discrete._stirling_rows,
 )
 
 
 def empty_exact_tables() -> None:
-    """Forget every held groupoid prefix and cell, rtilde triangle and Stirling triangle."""
+    """Forget every held groupoid column and cell, rtilde triangle row and Stirling row."""
     for cache in EXACT_TABLE_CACHES:
         cache.cache_clear()
 

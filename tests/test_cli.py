@@ -17,6 +17,25 @@ def runner():
     return CliRunner()
 
 
+#: The message of each failing eval below; rho's E(w, z - 1) at w = 4900.5 and 499999000000.5.
+NAMED_FAILURES = {
+    "nu --x 800":
+        "E_quadrature's integrand x^t / Gamma(t+1) overflows in floats at (x=800.0, z=inf)",
+    "rho --x 1 --y 1 --z 100":
+        "E_series's segment factor x^t0 overflows in floats at (x=4900.5, z=99.0)",
+    "rho --x 1e300 --y 1e300 --z 1e6":
+        "E_series's segment factor x^t0 overflows in floats at (x=499999000000.5, z=999999.0)",
+    "rho --x 1e-300 --y 1e308 --z 50":
+        "rho's reduced argument w = y (z-1)^2 / 2x overflows at (x=1e-300, y=1e+308, z=50.0)",
+    "rho --x 1e300 --y 1e-300 --z 2":
+        "rho's reduced argument w = y (z-1)^2 / 2x underflows to 0 at (x=1e+300, y=1e-300, z=2.0)",
+    "E --x 800 --z 900":
+        "E_quadrature's integrand x^t / Gamma(t+1) overflows in floats at (x=800.0, z=900.0)",
+    "mu --x 800":
+        "mu_function's integrand or tail bound overflows in floats at (x=800.0, beta=0.0, alpha=0.0)",
+}
+
+
 class TestEval:
     def test_nu_reference(self, runner):
         result = runner.invoke(main, ["eval", "nu", "--x", "1"])
@@ -134,12 +153,15 @@ class TestEval:
         ["rho", "--x", "1e300", "--y", "1e300", "--z", "1e6"],
         ["rho", "--x", "1e-300", "--y", "1e308", "--z", "50"],  # w itself overflows
         ["rho", "--x", "1e300", "--y", "1e-300", "--z", "2"],  # w underflows to 0
+        ["E", "--x", "800", "--z", "900"],
+        ["mu", "--x", "800"],
     ])
     def test_overflow_is_numerical_failure(self, runner, args):
+        # the message names the function that failed and its inputs, not a bare
+        # (34, 'Numerical result out of range'), math range error or fsum error
         result = runner.invoke(main, ["eval", *args])
         assert result.exit_code == 3
-        assert "numerical failure" in result.stderr
-        assert "fsum" not in result.stderr
+        assert result.stderr == f"numerical failure in {args[0]}: {NAMED_FAILURES[' '.join(args)]}\n"
 
     @pytest.mark.parametrize("flags", [[], ["--log-scaled"]])
     def test_overflowing_rtilde_sum_is_log_scaled(self, runner, flags):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from conftest import empty_exact_tables
 from cpoch.discrete import (
     TRIANGLE_KINDS,
-    _stirling,
-    _stirling_row,
+    _stirling_rows,
     geometric_sum_pair,
     pochhammer_discrete,
     power_sum_pair,
@@ -156,13 +156,11 @@ class TestStirlingTriangles:
     @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
     def test_held_rows_each_built_once(self, kind):
         empty_exact_tables()
-        stirling_triangle(kind, 17)
         tri = stirling_triangle(kind, 17)
-        assert stirling_triangle(kind, 17) is tri
-        # rows 0..17, with the unsigned rows the signed ones are read from
-        rows = 18 * (2 if kind == "first_signed" else 1)
-        assert _stirling_row.cache_info()[1:] == (rows, None, rows)  # misses, maxsize, currsize
-        assert _stirling.cache_info()[:2] == (2, 1)  # hits, misses
+        assert stirling_triangle(kind, 17) == tri
+        stirling_triangle(kind, 64)
+        # rows 0..64 of the kind, from one run of its recurrence
+        assert _stirling_rows.cache_info()[:] == (2, 1, None, 1)  # hits, misses, maxsize, currsize
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -172,15 +170,15 @@ class TestStirlingTriangles:
 
     @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
     def test_float_order_refused_cold_and_warm(self, kind):
-        # a float equal to an int is refused, also once that int's triangle is held
+        # a float equal to an int is refused, also once the kind's rows are held
         empty_exact_tables()
         with pytest.raises(TypeError):
             stirling_triangle(kind, 3.0)
-        assert _stirling.cache_info().currsize == 0
+        assert _stirling_rows.cache_info().currsize == 0
         stirling_triangle(kind, 3)
         with pytest.raises(TypeError):
             stirling_triangle(kind, 3.0)
-        assert _stirling.cache_info().currsize == 1
+        assert _stirling_rows.cache_info()[1:] == (1, None, 1)  # misses, maxsize, currsize
 
     def test_row_bound_is_the_value_bound(self):
         tri = stirling_triangle("second", 5)
@@ -234,15 +232,47 @@ class TestSumAnalogues:
             geometric_sum_pair(1.0, 2.0)
 
 
+@pytest.mark.parametrize("form, args, expected", [
+    # x^k, k! or x^(y+1) overflows as a float, the value does not: the exact
+    # quotient, rounded once
+    (simplex_volume, (2.0, 200), float(Fraction(2**200, math.factorial(200)))),  # 2.04e-315
+    (simplex_volume, (1e5, 70), float(Fraction(10**350, math.factorial(70)))),  # 8.35e249
+    (simplex_volume, (0.5, 300), 0.0),  # below the least subnormal
+    (simplex_volume, (0.0, 200), 0.0),
+    (simplex_moment, (30.0, 200), float(Fraction(30**400, 2**200 * math.factorial(200)))),
+    (power_sum_pair, (10, 308), (sum(l**308 for l in range(1, 11)), float(Fraction(10**309, 309)))),
+    (geometric_sum_pair, (1e10, 30.0),
+     (float(Fraction(10**310 - 1, 10**10 - 1)), (1e300 - 1.0) / math.log(1e10))),
+    # x^y = 1e310 overflows, its quotient by ln x = -356.9 does not
+    (geometric_sum_pair, (1e-155, -2.0),
+     ((1e155 - 1.0) / (1e-155 - 1.0),
+      float((Fraction(1e-155) ** -2 - 1) / Fraction(math.log(1e-155))))),
+])
+def test_float_form_overflow_returns_the_value(bounded, form, args, expected):
+    assert form(*args) == expected
+
+
+@pytest.mark.parametrize("x, y", [(1e10, 30.5), (1e-300, -1.03)])
+def test_geometric_overflow_at_fractional_y_is_formed_in_logs(x, y):
+    # x^(y+1) or x^y overflows as a float; 30-digit references
+    with mpmath.workdps(30):
+        mx, my = mpmath.mpf(x), mpmath.mpf(y)
+        reference = ((mx ** (my + 1) - 1) / (mx - 1), (mx**my - 1) / mpmath.log(mx))
+    for got, want in zip(geometric_sum_pair(x, y), reference):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 @pytest.mark.parametrize("form, args, inputs", [
     (simplex_volume, (1e200, 5), "(x=1e+200, k=5)"),
     (simplex_moment, (1e100, 5), "(x=1e+100, k=5)"),
     (power_sum_pair, (10**6, 60), "(n=1000000, k=60)"),
     (geometric_sum_pair, (1e10, 40.0), "(x=10000000000.0, y=40.0)"),
+    (geometric_sum_pair, (1.5, 1749.0), "(x=1.5, y=1749.0)"),  # the quotient, not x^(y+1)
 ])
 def test_float_overflow_names_the_function_and_its_inputs(bounded, form, args, inputs):
-    # each raised float **'s bare (34, 'Numerical result out of range'); the
-    # power sum's continuous side is refused before its exact sum over n
+    # each value leaves binary64: no bare (34, 'Numerical result out of range')
+    # and no inf; the power sum's continuous side is refused before its exact
+    # sum over n
     with pytest.raises(OverflowError, match=f"^{form.__name__}'s ") as raised:
         form(*args)
-    assert str(raised.value).endswith(f" at {inputs}")
+    assert str(raised.value).endswith(f" exceeds the largest float at {inputs}")

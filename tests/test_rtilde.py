@@ -155,19 +155,14 @@ def forward_st():
     return _stilde_forward_oracle(RTILDE_MAX_N)
 
 
-#: (k, m) with k + m <= 48: every held groupoid prefix
-HELD_PREFIXES = RTILDE_MAX_N * (RTILDE_MAX_N + 1) // 2
-
-
 def _held_counts():
-    """(held prefixes, held cells, held triangle rows, held triangles)."""
+    """(held columns, held cells, held triangle rows)."""
     return tuple(cache.cache_info().currsize for cache in (
-        cpoch.rtilde._held_prefix, cpoch.rtilde._groupoid_cell, cpoch.rtilde._triangle_row,
-        cpoch.rtilde._triangle))
+        cpoch.rtilde._column, cpoch.rtilde._groupoid_cell, cpoch.rtilde._triangle_row))
 
 
 class TestHeldTables:
-    """The groupoid prefixes and cells and the triangle rows are built once per process."""
+    """The groupoid columns and cells and the triangle rows are built once per process."""
 
     @pytest.mark.parametrize("sizes", [(0, 5, 12, 30, 48), (48, 30, 12, 5, 0)],
                              ids=["small_first", "large_first"])
@@ -188,29 +183,45 @@ class TestHeldTables:
             assert tri.s_rows == tuple(
                 tuple((-1) ** (n - k) * v for k, v in enumerate(row))
                 for n, row in enumerate(tri.r_rows))
-        # every prefix with k + m <= 48, the 78 cells with n <= 12, the rows
-        # 0..48 and the five triangles, each computed once
-        assert _held_counts() == (HELD_PREFIXES, 78, RTILDE_MAX_N + 1, len(sizes))
-        assert cpoch.rtilde._held_prefix.cache_info().misses == HELD_PREFIXES
+        # the columns 1..48, the 78 cells with n <= 12 and the rows 0..48,
+        # each computed once
+        assert _held_counts() == (RTILDE_MAX_N, 78, RTILDE_MAX_N + 1)
+        assert cpoch.rtilde._column.cache_info().misses == RTILDE_MAX_N
         assert cpoch.rtilde._triangle_row.cache_info().misses == RTILDE_MAX_N + 1
 
     def test_cells_past_the_bound_are_not_held(self):
         empty_exact_tables()
         rtilde_triangle(20)
-        before = _held_counts()
-        for n, k in ((49, 1), (60, 3), (60, 57), (55, 50)):
+        columns, cells, rows = _held_counts()
+        for n, k in ((49, 1), (60, 3), (60, 57), (55, 50), (55, 30)):
             cards = groupoid_cardinalities(n, k)
             if n - k <= 3:  # the composition oracle is cheap there
                 assert (cards.g_even, cards.g_odd) == _groupoid_oracle(n, k)
-        assert _held_counts() == before
+        # column 30 is built for (55, 30), through its cell (48, 30); no
+        # cell past n = 48 is held, in a column or as a cell
+        assert _held_counts() == (columns + 1, cells, rows)
+        for k in (1, 3, 30):
+            assert len(cpoch.rtilde._column(k)) == RTILDE_MAX_N + 1 - k
+
+    def test_cells_past_the_bound_extend_the_held_column(self):
+        # the held column extended past n = 48 gives what the recurrence
+        # started from (1, 0) gives
+        for k in range(1, 61):
+            column = cpoch.rtilde._groupoid_prefix(k, 60 - k)
+            for n in range(max(49, k), 61):
+                cards = groupoid_cardinalities(n, k)
+                denom = 2 ** (n - k) * math.factorial(n - k)
+                expected = [Fraction(v, denom) for v in column[n - k]] if n > k else [0, 0]
+                assert [cards.g_even, cards.g_odd] == expected
 
     def test_held_cell_is_returned_again(self):
         empty_exact_tables()
         cards = groupoid_cardinalities(40, 7)
         assert groupoid_cardinalities(40, 7) is cards
         assert cpoch.rtilde._groupoid_cell.cache_info()[:2] == (1, 1)  # hits, misses
-        # the first call builds column 7 through its entry m = 33, and no further
-        assert _held_counts()[0] == 34
+        # the first call builds column 7 whole, through its cell (48, 7)
+        assert _held_counts()[0] == 1
+        assert len(cpoch.rtilde._column(7)) == RTILDE_MAX_N + 1 - 7
 
     @pytest.mark.parametrize("call", [
         lambda order: rtilde_triangle(order),
@@ -223,7 +234,7 @@ class TestHeldTables:
         for _ in range(2):
             with pytest.raises(TypeError):
                 call(3.0)
-            assert _held_counts() == (0, 0, 0, 0)
+            assert _held_counts() == (0, 0, 0)
         call(3)
         held = _held_counts()
         with pytest.raises(TypeError):
@@ -231,7 +242,7 @@ class TestHeldTables:
         assert _held_counts() == held
 
     def test_concurrent_growth_matches_cold_calls(self):
-        # threads that fill the groupoid prefixes and cells, the triangle
+        # threads that fill the groupoid columns and cells, the triangle
         # rows and the Stirling rows at once return the cold tables
         requests = [("triangle", 48), ("cell", (19, 3)), ("triangle", 7), ("cell", (48, 1)),
                     ("triangle", 30), ("cell", (25, 12)), ("cell", (40, 2)),
@@ -267,11 +278,10 @@ class TestHeldTables:
                 for thread in threads:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
-                # every prefix, the four cells, the rows 0..48, the three
-                # triangles; Stirling rows 0..64 signed and unsigned, 0..40 second
-                assert _held_counts() == (HELD_PREFIXES, 4, RTILDE_MAX_N + 1, 3)
-                assert cpoch.discrete._stirling_row.cache_info().currsize == 65 + 65 + 41
-                assert cpoch.discrete._stirling.cache_info().currsize == 3
+                # every column, the four cells, the rows 0..48; the Stirling
+                # rows of each of the three kinds
+                assert _held_counts() == (RTILDE_MAX_N, 4, RTILDE_MAX_N + 1)
+                assert cpoch.discrete._stirling_rows.cache_info().currsize == 3
         finally:
             sys.setswitchinterval(interval)
         assert results == [cold] * (3 * threads_per_round)
